@@ -53,17 +53,12 @@
 //!   [`SessionStore`] of per-user incremental sessions with LRU
 //!   eviction and graph-epoch invalidation;
 //! * [`ShardedEngine`] scales the engine horizontally: N engine
-//!   replicas behind a [`ShardRouter`], with a scatter/gather batch
-//!   planner (mixed batches grouped by shard, dispatched onto the
-//!   replicas' pools concurrently, gathered in input order,
-//!   bit-identical to a single engine), shard-affine session stores,
-//!   and coherent cross-replica mutation ([`ShardedEngine::mutate`]).
-//!   Replicas are either N full graph clones (the default) or — in
-//!   partitioned mode ([`ShardedEngine::new_partitioned`]) — true
-//!   sub-graph [`Partition`](xsum_graph::Partition)s with halos plus
-//!   one full coverage replica, served certify-or-escalate behind a
-//!   [`PartitionRouter`]; a [`ConsistentHashRouter`] offers
-//!   bounded-movement hashing for elastic full-replica fleets;
+//!   replicas, each over a full graph clone, behind [`HashRouter`]
+//!   routing, with a scatter/gather batch planner (mixed batches
+//!   grouped by shard, dispatched onto the replicas' pools
+//!   concurrently, gathered in input order, bit-identical to a single
+//!   engine), shard-affine session stores, and coherent cross-replica
+//!   mutation ([`ShardedEngine::mutate`]);
 //! * [`AdmissionQueue`] makes either engine *asynchronous* without an
 //!   async runtime: a bounded submission queue accepting single and
 //!   batch requests from many producer threads, coalescing queued
@@ -134,10 +129,7 @@ pub use pcst::{pcst_summary, PcstConfig, PcstScope};
 pub use prizes::{node_prizes, pcst_summary_with_policy, PrizePolicy};
 pub use render::{render_path, render_summary, table1_example, Table1Example};
 pub use session::{session_summary, EngineSession, SessionKey, SessionStore};
-pub use shard::{
-    BreakerState, CircuitConfig, ConsistentHashRouter, HashRouter, PartitionRouter, ShardRouter,
-    ShardedEngine,
-};
+pub use shard::{BreakerState, CircuitConfig, HashRouter, ShardedEngine};
 pub use steiner::{
     flush_cost_model_cache, steiner_costs, steiner_summary, steiner_summary_fast, steiner_tree,
     steiner_tree_fast, steiner_tree_fast_with, steiner_tree_with, CostModelCache, CostModelKey,

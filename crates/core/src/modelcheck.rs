@@ -40,14 +40,6 @@
 //!   and after [`AdmissionQueue::recover`] the queue serves again.
 //! * [`breaker_transitions_race_free`] — [`CircuitBreaker`] invariants
 //!   hold after every step of two racing recorder threads.
-//! * [`partitioned_scatter_mutation_barrier`] — producers race a
-//!   partition-mutation barrier through the queue against a
-//!   partitioned-style backend: every serve lands exactly once (local
-//!   or cross-shard escalation, never both, never lost), a serve never
-//!   observes a partition *ahead* of the mutation authority, and the
-//!   dispatcher's per-batch
-//!   [`DispatchMeta::cross_shard`](crate::admission::DispatchMeta::cross_shard)
-//!   deltas sum exactly to the backend's escalation counter.
 
 use crate::admission::{AdmissionBackend, AdmissionConfig, AdmissionQueue, TicketSet};
 use crate::batch::BatchMethod;
@@ -541,160 +533,6 @@ pub fn breaker_transitions_race_free() -> ModelStats {
 
             let b = breaker.lock().unwrap_or_else(PoisonError::into_inner);
             b.assert_invariants();
-        },
-    )
-}
-
-/// A minimal replica of the partitioned serving protocol (shard.rs,
-/// "Partitioned topology") under the admission queue: two partitions
-/// with per-partition sync versions, one mutation authority, and a
-/// lazy halo-sync discipline — a partition left stale by a mutation
-/// escalates its next request cross-shard (the coverage serve) and
-/// only then re-syncs, exactly the certify-or-escalate shape.
-///
-/// Two producers race single submissions against a mutation barrier.
-/// Invariants asserted across every explored interleaving:
-/// * a serve never observes a partition version *ahead* of the
-///   authority (the barrier orders authority write before partition
-///   sync);
-/// * every completed request was served exactly once, locally or
-///   cross-shard (`local + cross == completed`, nothing lost or
-///   double-served);
-/// * the dispatcher's per-batch `DispatchMeta::cross_shard` deltas —
-///   computed by differencing `AdmissionBackend::cross_shard_serves`
-///   around each dispatch — sum exactly to the backend's own
-///   escalation counter (no delta is lost or double-counted when
-///   batches and barriers interleave).
-pub fn partitioned_scatter_mutation_barrier() -> ModelStats {
-    /// The partitioned mock: `parts[home] == authority` serves locally,
-    /// a stale partition escalates to coverage and re-syncs.
-    #[derive(Debug)]
-    struct MockPartitioned {
-        authority: u64,
-        parts: [u64; 2],
-        local: Arc<AtomicU64>,
-        cross: Arc<AtomicU64>,
-    }
-
-    impl MockPartitioned {
-        fn serve(&mut self, input: &SummaryInput) -> Summary {
-            let home = (input.terminals[0].0 as usize) % 2;
-            assert!(
-                self.parts[home] <= self.authority,
-                "partition {home} ran ahead of the mutation authority"
-            );
-            if self.parts[home] == self.authority {
-                self.local.fetch_add(1, Ordering::SeqCst);
-            } else {
-                self.cross.fetch_add(1, Ordering::SeqCst);
-                self.parts[home] = self.authority;
-            }
-            MockBackend::summary(input)
-        }
-    }
-
-    impl AdmissionBackend for MockPartitioned {
-        fn run_batch(
-            &mut self,
-            inputs: &[&SummaryInput],
-            _method: BatchMethod,
-        ) -> Result<Vec<Summary>, EngineError> {
-            Ok(inputs.iter().map(|i| self.serve(i)).collect())
-        }
-
-        fn run_one(
-            &mut self,
-            input: &SummaryInput,
-            _method: BatchMethod,
-        ) -> Result<Summary, EngineError> {
-            Ok(self.serve(input))
-        }
-
-        fn mutate_graph(&mut self, f: &mut dyn FnMut(&mut Graph)) -> Result<(), EngineError> {
-            let _ = f;
-            // The barrier: authority first, then only partition 0 syncs
-            // eagerly (the owner of the mutated edge) — partition 1
-            // models a lazily-refreshed replica and stays stale until
-            // its next serve escalates.
-            self.authority += 1;
-            self.parts[0] = self.authority;
-            Ok(())
-        }
-
-        fn apply_weight_delta(
-            &mut self,
-            _updates: &[(xsum_graph::EdgeId, f64)],
-        ) -> Result<(), EngineError> {
-            Ok(())
-        }
-
-        fn recover_coherence(&mut self) -> Result<(), EngineError> {
-            Ok(())
-        }
-
-        fn cross_shard_serves(&self) -> u64 {
-            self.cross.load(Ordering::SeqCst)
-        }
-    }
-
-    model_with(
-        ModelConfig {
-            max_schedules: 250,
-            random_runs: 50,
-            ..ModelConfig::default()
-        },
-        || {
-            let local = Arc::new(AtomicU64::new(0));
-            let cross = Arc::new(AtomicU64::new(0));
-            let queue = Arc::new(AdmissionQueue::new(
-                MockPartitioned {
-                    authority: 0,
-                    parts: [0, 0],
-                    local: Arc::clone(&local),
-                    cross: Arc::clone(&cross),
-                },
-                AdmissionConfig {
-                    queue_bound: 8,
-                    max_batch: 4,
-                    linger_tickets: 1,
-                },
-            ));
-
-            let producers: Vec<_> = (0..2u32)
-                .map(|home| {
-                    let queue = Arc::clone(&queue);
-                    thread::spawn(move || {
-                        let ticket = queue
-                            .submit(mock_input(home), mock_method())
-                            .expect("queue has room");
-                        let (result, meta) = ticket.wait_meta();
-                        result.expect("the partitioned mock never fails a serve");
-                        (meta.batch, meta.cross_shard)
-                    })
-                })
-                .collect();
-
-            queue
-                .mutate(|_| {})
-                .expect("the partitioned mock mutation succeeds");
-
-            // The meta is per *batch* (shared by every coalesced
-            // member), so sum the deltas once per distinct batch id.
-            let mut batches: Vec<(u64, usize)> = producers
-                .into_iter()
-                .map(|h| h.join().expect("producer panicked"))
-                .collect();
-            batches.sort_unstable();
-            batches.dedup();
-            let meta_cross: usize = batches.iter().map(|&(_, c)| c).sum();
-
-            let served = local.load(Ordering::SeqCst) + cross.load(Ordering::SeqCst);
-            assert_eq!(served, 2, "every request serves exactly once");
-            assert_eq!(
-                meta_cross as u64,
-                cross.load(Ordering::SeqCst),
-                "DispatchMeta::cross_shard deltas must sum to the backend counter"
-            );
         },
     )
 }

@@ -65,8 +65,8 @@ impl SessionKey {
     /// Key identified by a graph node — the user/focus *node* the
     /// session's batch inputs are anchored at. Sessions keyed this way
     /// are guaranteed shard-coherent with the anchor's batch requests
-    /// under the default [`HashRouter`](crate::shard::HashRouter),
-    /// which routes both by the same node identity.
+    /// under [`HashRouter`](crate::shard::HashRouter), which routes
+    /// both by the same node identity.
     pub fn for_node(node: NodeId, baseline: impl Into<String>) -> Self {
         Self::new(node.0 as u64, baseline)
     }

@@ -326,24 +326,6 @@ impl Graph {
         let _ = self.csr();
     }
 
-    /// Estimated resident heap footprint of this graph in bytes: node
-    /// kinds, label strings, the edge list, and the frozen CSR if one
-    /// is built. Used by the bench harness to compare the per-shard
-    /// memory of full replicas against partitioned sub-graphs; an
-    /// estimate (allocator slack is not modeled), but the same estimate
-    /// on both sides of that comparison.
-    pub fn resident_bytes(&self) -> usize {
-        let mut bytes = self.kinds.capacity() * std::mem::size_of::<NodeKind>();
-        bytes += self.labels.capacity() * std::mem::size_of::<String>();
-        bytes += self.labels.iter().map(|l| l.capacity()).sum::<usize>();
-        bytes += self.edges.capacity() * std::mem::size_of::<Edge>();
-        if let Some(csr) = self.csr.get() {
-            bytes += csr.offsets.capacity() * std::mem::size_of::<u32>();
-            bytes += csr.pairs.capacity() * std::mem::size_of::<(NodeId, EdgeId)>();
-        }
-        bytes
-    }
-
     /// Add a node of the given kind with an empty label.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
         self.add_labeled_node(kind, String::new())

@@ -17,13 +17,11 @@
 #![forbid(unsafe_code)]
 
 pub mod builder;
-pub mod partitioner;
 pub mod rating;
 pub mod stats;
 pub mod weights;
 
 pub use builder::{KgBuilder, KnowledgeGraph};
-pub use partitioner::{partition_nodes, PartitionPlan, PartitionerConfig};
 pub use rating::{Interaction, RatingMatrix};
 pub use stats::{GraphStats, PathLengthStats};
 pub use weights::{attribute_weight, interaction_weight, recency, WeightConfig};

@@ -74,9 +74,3 @@ fn breaker_transitions_are_race_free() {
     let stats = modelcheck::breaker_transitions_race_free();
     assert!(stats.schedules_explored > 1, "scheduler never branched");
 }
-
-#[test]
-fn partitioned_scatter_and_mutation_barrier_are_race_free() {
-    let stats = modelcheck::partitioned_scatter_mutation_barrier();
-    assert!(stats.schedules_explored > 1, "scheduler never branched");
-}
