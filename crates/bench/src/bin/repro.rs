@@ -288,6 +288,10 @@ fn run_modelcheck() {
             let s = modelcheck::breaker_transitions_race_free();
             (s.schedules_explored, s.exhausted)
         }),
+        ("wire_writer", || {
+            let s = modelcheck::wire_writer_handshake();
+            (s.schedules_explored, s.exhausted)
+        }),
     ];
     let mut rows = Vec::new();
     let mut entries: Vec<(&str, usize, f64)> = Vec::new();

@@ -41,15 +41,17 @@
 //!
 //! # Allowlisting
 //!
-//! A finding is suppressed by an allow comment on the offending line
-//! or on the line directly above it:
+//! A finding is suppressed by an allow comment for its rule on the
+//! offending line or in the comment block directly above it:
 //!
 //! ```text
 //! // xlint: allow(rule-name) — justification of at least a few words
 //! ```
 //!
-//! The justification is mandatory; an allow without one is itself
-//! reported. `unsafe-without-safety` rejects allows outright.
+//! One allow names one rule; a line that breaks two rules needs two
+//! allows, stacked in the block above it. The justification is
+//! mandatory; an allow without one is itself reported.
+//! `unsafe-without-safety` rejects allows outright.
 //!
 //! # Scope and limits
 //!
@@ -510,21 +512,20 @@ fn filter_allow(
         return;
     }
 
-    let allow = parse_allow(raw[idx]).or_else(|| {
-        // Or anywhere in the contiguous comment block directly above,
-        // so an allow can carry a multi-line justification.
-        let mut i = idx;
-        while i > 0 && raw[i - 1].trim_start().starts_with("//") {
-            i -= 1;
-            if let Some(a) = parse_allow(raw[i]) {
-                return Some(a);
-            }
-        }
-        None
-    });
+    // An allow for this rule on the line itself or anywhere in the
+    // contiguous comment block directly above, so an allow can carry a
+    // multi-line justification and a line that breaks two rules can
+    // carry one allow for each.
+    let block = (0..idx)
+        .rev()
+        .take_while(|&i| raw[i].trim_start().starts_with("//"));
+    let allow = std::iter::once(idx)
+        .chain(block)
+        .filter_map(|i| parse_allow(raw[i]))
+        .find(|a| a.rule == rule_name);
 
     match allow {
-        Some(a) if a.rule == rule_name => {
+        Some(a) => {
             if !info.allowable {
                 out.push(finding(
                     rule_name,
@@ -764,6 +765,30 @@ mod tests {
         let src = "// xlint: allow(lock-unwrap) — single-threaded setup code, poison impossible\n\
                    let g = m.lock().unwrap();\n";
         assert!(lint_source(NEUTRAL, src).is_empty());
+    }
+
+    #[test]
+    fn stacked_allows_cover_one_rule_each() {
+        let spawn = "std::thread::scope(|s| {});\n";
+        let facade = "// xlint: allow(sync-facade) — scoped thread over borrowed state, model-checked elsewhere\n";
+        let rogue =
+            "// xlint: allow(rogue-spawn) — one thread per call, joined before it returns\n";
+        let core = "crates/core/src/wire.rs";
+        assert_eq!(
+            rules_of(&lint_source(core, spawn)),
+            ["rogue-spawn", "sync-facade"]
+        );
+        // Each allow suppresses its own rule only.
+        let f = lint_source(core, &format!("{rogue}{spawn}"));
+        assert_eq!(rules_of(&f), ["sync-facade"]);
+        let f = lint_source(core, &format!("{facade}{spawn}"));
+        assert_eq!(rules_of(&f), ["rogue-spawn"]);
+        // Stacked in one comment block, in either order, they cover both.
+        assert!(lint_source(core, &format!("{facade}{rogue}{spawn}")).is_empty());
+        assert!(lint_source(core, &format!("{rogue}{facade}{spawn}")).is_empty());
+        // A code line ends the block: an allow above it does not reach.
+        let f = lint_source(core, &format!("{facade}let x = 1;\n{rogue}{spawn}"));
+        assert_eq!(rules_of(&f), ["sync-facade"]);
     }
 
     // ---- rogue-spawn --------------------------------------------------

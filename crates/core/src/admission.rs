@@ -196,7 +196,7 @@ use crate::summary::Summary;
 /// Lock `m`, recovering from poisoning (same discipline as the worker
 /// pool: state updates below never unwind mid-update, so poison only
 /// means "some other thread panicked", which must not cascade).
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

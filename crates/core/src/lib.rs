@@ -71,10 +71,11 @@
 //! * [`wire`] puts the queue on the network's terms: versioned
 //!   request/response records in a compact length-prefixed binary
 //!   framing (bit-exact `f64` params via `to_bits`), and
-//!   [`serve_stream`] — a loop that decodes frames from any byte
-//!   stream, submits through the queue, multiplexes completions with
-//!   a [`TicketSet`], and writes responses back in completion order
-//!   with request-id correlation.
+//!   [`serve_stream`] — a front-end that decodes frames from any byte
+//!   stream and submits through the queue, while a writer thread
+//!   multiplexes completions with a [`TicketSet`] and writes each
+//!   response as soon as it resolves (completion order, request-id
+//!   correlation, one flush per burst of ready responses).
 //!
 //! [`DijkstraWorkspace`]: xsum_graph::DijkstraWorkspace
 

@@ -40,6 +40,10 @@
 //!   and after [`AdmissionQueue::recover`] the queue serves again.
 //! * [`breaker_transitions_race_free`] — [`CircuitBreaker`] invariants
 //!   hold after every step of two racing recorder threads.
+//! * [`wire_writer_handshake`] — `serve_stream`'s reader/writer
+//!   handshake: no lost wake-up between an add and the writer parking,
+//!   no writer exit while a ticket is outstanding, and every ticket
+//!   written exactly once.
 
 use crate::admission::{AdmissionBackend, AdmissionConfig, AdmissionQueue, TicketSet};
 use crate::batch::BatchMethod;
@@ -48,6 +52,7 @@ use crate::engine::EngineError;
 use crate::input::{Scenario, SummaryInput};
 use crate::steiner::SteinerConfig;
 use crate::summary::Summary;
+use crate::wire::{decode_frame, write_completions, ResponseSink, WireFrame, WriterGate};
 use loom::{model_with, ModelConfig, ModelStats};
 use xsum_graph::sync::atomic::{AtomicU64, Ordering};
 use xsum_graph::sync::{thread, Arc, Condvar, Mutex, PoisonError};
@@ -533,6 +538,152 @@ pub fn breaker_transitions_race_free() -> ModelStats {
 
             let b = breaker.lock().unwrap_or_else(PoisonError::into_inner);
             b.assert_invariants();
+        },
+    )
+}
+
+/// An in-memory response pipe the model's client can block on: the
+/// bytes written so far, and a condvar signalled on every flush, so a
+/// response only counts as delivered once it has been flushed.
+#[derive(Clone)]
+struct ModelPipe(Arc<PipeState>);
+
+struct PipeState {
+    /// Bytes written, and how many of them have been flushed.
+    bytes: Mutex<(Vec<u8>, usize)>,
+    flushed: Condvar,
+}
+
+impl ModelPipe {
+    fn new() -> Self {
+        ModelPipe(Arc::new(PipeState {
+            bytes: Mutex::new((Vec::new(), 0)),
+            flushed: Condvar::new(),
+        }))
+    }
+
+    /// Block until at least `n` bytes have been flushed; the flushed
+    /// bytes.
+    fn wait_flushed(&self, n: usize) -> Vec<u8> {
+        let mut st = self.0.bytes.lock().unwrap_or_else(PoisonError::into_inner);
+        while st.1 < n {
+            st = self
+                .0
+                .flushed
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        st.0[..st.1].to_vec()
+    }
+}
+
+impl std::io::Write for ModelPipe {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut st = self.0.bytes.lock().unwrap_or_else(PoisonError::into_inner);
+        st.0.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let mut st = self.0.bytes.lock().unwrap_or_else(PoisonError::into_inner);
+        st.1 = st.0.len();
+        drop(st);
+        self.0.flushed.notify_all();
+        Ok(())
+    }
+}
+
+/// Summary responses in `bytes`, counted per tag.
+fn written_tags(bytes: &[u8]) -> [u32; 2] {
+    let mut seen = [0u32; 2];
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let (frame, used) = decode_frame(rest).expect("the writer writes whole frames");
+        rest = &rest[used..];
+        let WireFrame::SummaryResponse(resp) = frame else {
+            panic!("the writer writes summary responses only");
+        };
+        seen[resp.id as usize] += 1;
+    }
+    seen
+}
+
+/// `serve_stream`'s reader/writer handshake over a real queue and
+/// [`TicketSet`]: the root thread plays the reader while a spawned
+/// thread runs the real writer loop into a [`ModelPipe`]. The reader
+/// adds ticket 0 and, like a ping-pong client, waits for its answer to
+/// be flushed; then it adds ticket 1 and closes at once. In every
+/// interleaving: a wake-up lost between the first add and the writer
+/// parking leaves both threads waiting forever, which the model reports
+/// as a deadlock; a writer that leaves with ticket 1 outstanding fails
+/// the exactly-once count; and each ticket is written exactly once.
+pub fn wire_writer_handshake() -> ModelStats {
+    model_with(
+        ModelConfig {
+            max_schedules: 300,
+            random_runs: 60,
+            ..ModelConfig::default()
+        },
+        || {
+            let queue = AdmissionQueue::new(
+                MockBackend::healthy(),
+                AdmissionConfig {
+                    queue_bound: 8,
+                    max_batch: 4,
+                    linger_tickets: 1,
+                },
+            );
+            let pipe = ModelPipe::new();
+            let shared = Arc::new((
+                TicketSet::new(),
+                WriterGate::new(),
+                ResponseSink::new(pipe.clone()),
+            ));
+
+            let writer = {
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || {
+                    let (set, gate, out) = &*shared;
+                    write_completions(set, gate, out)
+                })
+            };
+
+            let add = |tag: u64| {
+                let ticket = queue
+                    .submit(mock_input(tag as u32), mock_method())
+                    .expect("queue has room");
+                shared.0.add(tag, ticket);
+                assert!(
+                    shared.1.add(),
+                    "the writer left while the reader was adding"
+                );
+            };
+            add(0);
+            let first = pipe.wait_flushed(1);
+            assert_eq!(
+                written_tags(&first),
+                [1, 0],
+                "the first answer is ticket 0's"
+            );
+            add(1);
+            shared.1.close();
+            writer
+                .join()
+                .expect("writer panicked")
+                .expect("an in-memory pipe never fails");
+
+            let Ok((set, _, out)) = Arc::try_unwrap(shared) else {
+                panic!("the writer thread still holds the stream state");
+            };
+            assert!(set.is_empty(), "the writer left with a ticket outstanding");
+            let (pipe, responses) = out.into_inner();
+            let all = pipe.wait_flushed(0);
+            assert_eq!(
+                written_tags(&all),
+                [1, 1],
+                "a ticket was written zero or two times"
+            );
+            assert_eq!(responses, 2, "the sink miscounted its frames");
         },
     )
 }

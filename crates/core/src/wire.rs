@@ -34,20 +34,30 @@
 //!
 //! # Serving
 //!
-//! [`serve_stream`] decodes request frames, submits summaries through
-//! the queue, registers the tickets in a
-//! [`TicketSet`](crate::admission::TicketSet) tagged by request id,
-//! and writes [`SummaryResponse`] frames back in **completion order**
-//! (the id is the correlation handle; mutation barriers are applied
-//! in stream order and answered synchronously). Results are
-//! bit-identical to direct [`AdmissionQueue::submit`] +
+//! [`serve_stream`] runs on two threads. The calling thread reads: it
+//! decodes request frames, submits summaries through the queue and
+//! registers the tickets in a
+//! [`TicketSet`](crate::admission::TicketSet) tagged by request id.
+//! It applies mutation barriers in stream order and answers them, and
+//! any request refused at admission, itself. A scoped writer thread,
+//! joined before `serve_stream` returns, blocks on the set and writes
+//! each [`SummaryResponse`] as soon as its ticket resolves, in
+//! **completion order** (the id is the correlation handle). It writes
+//! every response already resolved as one burst and flushes once per
+//! burst; while no ticket is outstanding it parks, with no timer or
+//! polling. So an answer never waits for the next request frame, and a
+//! client may send one request and wait for its answer before the
+//! next. The writer is shared by both threads, hence `W: Write + Send`.
+//! Results are bit-identical to direct [`AdmissionQueue::submit`] +
 //! [`SummaryTicket::wait`](crate::admission::SummaryTicket::wait).
+//! `CONCURRENCY.md` gives the two threads' protocol and lock order.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 
+use xsum_graph::sync::{Condvar, Mutex, PoisonError};
 use xsum_graph::{EdgeId, LoosePath, NodeId};
 
-use crate::admission::{AdmissionQueue, CompletedTicket, TicketSet};
+use crate::admission::{lock_recovering, AdmissionQueue, CompletedTicket, TicketSet};
 use crate::batch::BatchMethod;
 use crate::input::{Scenario, SummaryInput};
 use crate::pcst::{PcstConfig, PcstScope};
@@ -360,7 +370,18 @@ impl Enc {
 
 /// Encode one frame (length prefix included).
 pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::new() };
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, frame);
+    out
+}
+
+/// Append one encoded frame (length prefix included) to `out`.
+fn encode_frame_into(out: &mut Vec<u8>, frame: &WireFrame) {
+    let start = out.len();
+    let mut e = Enc {
+        buf: std::mem::take(out),
+    };
+    e.u32(0); // length prefix, patched below
     e.u8(WIRE_VERSION);
     match frame {
         WireFrame::SummaryRequest(r) => {
@@ -397,15 +418,9 @@ pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
             }
         }
     }
-    let payload = e.buf;
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("payload fits in u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&payload);
-    out
+    *out = e.buf;
+    let len = u32::try_from(out.len() - start - 4).expect("payload fits in u32");
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 // ---------------------------------------------------------------------
@@ -698,67 +713,189 @@ fn completed_response(done: CompletedTicket) -> WireFrame {
     })
 }
 
-/// Serve a framed request stream against `queue`: decode frames from
-/// `reader`, submit summaries (tickets multiplexed through a
-/// [`TicketSet`] tagged by request id), apply mutations as barriers,
-/// and write responses to `writer` in **completion order**. Returns
-/// after a clean EOF once every admitted ticket's response is written.
-///
-/// On a decode error the in-flight tickets are still drained (their
-/// responses written best-effort) before the error is returned — a
-/// corrupt frame never strands an admitted request without an answer.
-pub fn serve_stream<R: Read, W: Write>(
-    mut reader: R,
-    mut writer: W,
-    queue: &AdmissionQueue,
-) -> Result<ServeReport, WireError> {
-    let set = TicketSet::new();
-    let mut report = ServeReport::default();
+/// The handshake between [`serve_stream`]'s two threads. The reader
+/// counts every ticket it adds to the [`TicketSet`]; the writer parks
+/// while none is outstanding and leaves once the reader has closed and
+/// every added ticket is written. `modelcheck::wire_writer_handshake`
+/// checks it under the model checker.
+pub(crate) struct WriterGate {
+    state: Mutex<GateState>,
+    wake: Condvar,
+}
 
-    let drain = |set: &TicketSet, writer: &mut W, report: &mut ServeReport| loop {
-        match set.wait_any() {
-            Some(done) => {
-                write_frame(writer, &completed_response(done))?;
-                report.responses += 1;
+#[derive(Default)]
+struct GateState {
+    /// Tickets added to the set and not yet written.
+    outstanding: u64,
+    /// The reader adds no more tickets.
+    closed: bool,
+    /// The writer waits on `wake`; only then do `add`/`close` notify.
+    parked: bool,
+    /// The writer has left (done, or at a failed write).
+    left: bool,
+}
+
+impl WriterGate {
+    pub(crate) fn new() -> Self {
+        WriterGate {
+            state: Mutex::new(GateState::default()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Reader: count one ticket just added to the set, waking a parked
+    /// writer. `false` once the writer has left, so the reader stops.
+    pub(crate) fn add(&self) -> bool {
+        let mut st = lock_recovering(&self.state);
+        st.outstanding += 1;
+        let wake = std::mem::take(&mut st.parked);
+        let alive = !st.left;
+        drop(st);
+        if wake {
+            self.wake.notify_one();
+        }
+        alive
+    }
+
+    /// Reader: no more tickets will be added.
+    pub(crate) fn close(&self) {
+        let mut st = lock_recovering(&self.state);
+        st.closed = true;
+        let wake = std::mem::take(&mut st.parked);
+        drop(st);
+        if wake {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Writer: retire the `written` tickets of the last burst, then
+    /// park until a ticket is outstanding (`true`), or until the reader
+    /// has closed with none outstanding (`false`: leave).
+    pub(crate) fn next_burst(&self, written: u64) -> bool {
+        let mut st = lock_recovering(&self.state);
+        st.outstanding -= written;
+        loop {
+            if st.outstanding > 0 {
+                return true;
             }
-            None => return Ok::<(), WireError>(()),
+            if st.closed {
+                return false;
+            }
+            st.parked = true;
+            st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Writer: leaving; later `add`s report it.
+    fn leave(&self) {
+        lock_recovering(&self.state).left = true;
+    }
+}
+
+/// Runs its closure on drop, on every path out of a scope, panics
+/// included.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
+}
+
+/// The response side of one [`serve_stream`] run, which both threads
+/// write to: the caller's writer and the count of frames written.
+pub(crate) struct ResponseSink<W> {
+    out: Mutex<(W, u64)>,
+}
+
+impl<W: Write> ResponseSink<W> {
+    pub(crate) fn new(writer: W) -> Self {
+        ResponseSink {
+            out: Mutex::new((writer, 0)),
+        }
+    }
+
+    /// Write `frames` whole response frames held in `bytes`, then flush.
+    fn send(&self, bytes: &[u8], frames: u64) -> Result<(), WireError> {
+        let mut out = lock_recovering(&self.out);
+        out.0.write_all(bytes)?;
+        out.1 += frames;
+        out.0.flush()?;
+        Ok(())
+    }
+
+    /// The writer and the count of frames written to it.
+    pub(crate) fn into_inner(self) -> (W, u64) {
+        self.out
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// [`serve_stream`]'s writer thread: blocks on `set` while a ticket is
+/// outstanding, writes every response already resolved as one burst
+/// with one flush, and parks on `gate` when none is outstanding.
+/// Leaves once the reader has closed and every ticket is written, or
+/// at the first failed write.
+pub(crate) fn write_completions<W: Write>(
+    set: &TicketSet,
+    gate: &WriterGate,
+    out: &ResponseSink<W>,
+) -> Result<(), WireError> {
+    let mut burst = Vec::new();
+    let mut written = 0;
+    let result = loop {
+        if !gate.next_burst(written) {
+            break Ok(());
+        }
+        // The output lock is free while this blocks, so the reader can
+        // answer a mutation meanwhile.
+        let first = set
+            .wait_any()
+            .expect("an outstanding ticket is a member of the set");
+        burst.clear();
+        written = 0;
+        for done in std::iter::once(first).chain(std::iter::from_fn(|| set.poll())) {
+            encode_frame_into(&mut burst, &completed_response(done));
+            written += 1;
+        }
+        if let Err(e) = out.send(&burst, written) {
+            break Err(e);
         }
     };
+    gate.leave();
+    result
+}
 
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break,
-            Err(e) => {
-                // Best-effort drain: admitted requests still answer.
-                let _ = drain(&set, &mut writer, &mut report);
-                let _ = writer.flush();
-                return Err(e);
-            }
-        };
-        match frame {
+/// [`serve_stream`]'s reader: decodes frames, adds admitted summaries
+/// to `set` (counted on `gate`), and answers refusals and mutations
+/// itself. `Ok` at a clean EOF, or as soon as the writer has left.
+fn read_requests<W: Write>(
+    reader: &mut impl Read,
+    queue: &AdmissionQueue,
+    set: &TicketSet,
+    gate: &WriterGate,
+    out: &ResponseSink<W>,
+    report: &mut ServeReport,
+) -> Result<(), WireError> {
+    while let Some(frame) = read_frame(reader)? {
+        let answer = match frame {
             WireFrame::SummaryRequest(req) => {
                 report.summaries += 1;
                 match queue.submit(req.input, req.method) {
-                    Ok(ticket) => set.add(req.id, ticket),
-                    Err(e) => {
-                        // Refused at admission (shut down / poisoned):
-                        // answer immediately, preserving correlation.
-                        write_frame(
-                            &mut writer,
-                            &WireFrame::SummaryResponse(SummaryResponse {
-                                id: req.id,
-                                result: Err(e.to_string()),
-                            }),
-                        )?;
-                        report.responses += 1;
+                    Ok(ticket) => {
+                        set.add(req.id, ticket);
+                        if gate.add() {
+                            continue;
+                        }
+                        return Ok(());
                     }
-                }
-                // Opportunistic drain keeps responses flowing while
-                // the stream is still producing requests.
-                while let Some(done) = set.poll() {
-                    write_frame(&mut writer, &completed_response(done))?;
-                    report.responses += 1;
+                    // Refused at admission (shut down / poisoned):
+                    // answer at once, under the request's id.
+                    Err(e) => WireFrame::SummaryResponse(SummaryResponse {
+                        id: req.id,
+                        result: Err(e.to_string()),
+                    }),
                 }
             }
             WireFrame::MutationRequest(req) => {
@@ -768,24 +905,74 @@ pub fn serve_stream<R: Read, W: Write>(
                         queue.mutate(move |g| g.set_weight(edge, weight))
                     }
                 };
-                write_frame(
-                    &mut writer,
-                    &WireFrame::MutationResponse(MutationResponse {
-                        id: req.id,
-                        result: result.map_err(|e| e.to_string()),
-                    }),
-                )?;
-                report.responses += 1;
+                WireFrame::MutationResponse(MutationResponse {
+                    id: req.id,
+                    result: result.map_err(|e| e.to_string()),
+                })
             }
             WireFrame::SummaryResponse(_) | WireFrame::MutationResponse(_) => {
-                let _ = drain(&set, &mut writer, &mut report);
-                let _ = writer.flush();
                 return Err(WireError::Corrupt("response frame on the request stream"));
             }
-        }
+        };
+        out.send(&encode_frame(&answer), 1)?;
     }
-    drain(&set, &mut writer, &mut report)?;
-    writer.flush()?;
+    Ok(())
+}
+
+/// Serve a framed request stream against `queue`: decode frames from
+/// `reader`, submit summaries (tickets multiplexed through a
+/// [`TicketSet`] tagged by request id), apply mutations as barriers,
+/// and write responses to `writer` in **completion order**.
+///
+/// The calling thread reads; a scoped writer thread, joined before this
+/// returns, writes each summary response as soon as its ticket
+/// resolves, without waiting for the next request frame. Responses
+/// already resolved go out together, followed by one flush; refusals
+/// and mutation answers are written and flushed by the reading thread
+/// at once. So a client behind a buffered writer can send one request
+/// and wait for its answer before sending the next. Returns after a
+/// clean EOF once every admitted ticket's response is written.
+///
+/// On a decode error the in-flight tickets are still drained (their
+/// responses written best-effort) before the error is returned — a
+/// corrupt frame never strands an admitted request without an answer.
+/// A failed write ends the run with [`WireError::Io`] at the next
+/// request frame or EOF; the tickets still in flight are dropped,
+/// which leaves the queue serving.
+pub fn serve_stream<R: Read, W: Write + Send>(
+    reader: R,
+    writer: W,
+    queue: &AdmissionQueue,
+) -> Result<ServeReport, WireError> {
+    // Buffered, so a run of queued frames costs one read call, not two
+    // per frame; a partial buffer is handed over as soon as it arrives.
+    let mut reader = BufReader::new(reader);
+    let set = TicketSet::new();
+    let gate = WriterGate::new();
+    let out = ResponseSink::new(writer);
+    let mut report = ServeReport::default();
+    // xlint: allow(sync-facade) — the writer is a std scoped thread: it
+    // borrows the set and the caller's writer, which the facade's
+    // 'static spawn cannot. The gate it shares with the reader is
+    // built on the facade and model-checked.
+    // xlint: allow(rogue-spawn) — one writer thread per stream, joined
+    // below before serve_stream returns; its panic is re-raised here.
+    let (read, write) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| write_completions(&set, &gate, &out));
+        // Closing on every path out (EOF, an error, a panic) lets the
+        // writer drain what was admitted and leave.
+        let close = OnDrop(|| gate.close());
+        let read = read_requests(&mut reader, queue, &set, &gate, &out, &mut report);
+        drop(close);
+        let write = writer
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (read, write)
+    });
+    report.responses = out.into_inner().1;
+    // A read error wins over the drain's best-effort writes.
+    read?;
+    write?;
     Ok(report)
 }
 

@@ -5,12 +5,16 @@
 //! A remote front-end does not hold `SummaryInput`s — it holds bytes.
 //! `xsum::core::wire` gives those bytes a shape (versioned,
 //! length-prefixed frames with bit-exact f64 configs) and
-//! `serve_stream` runs the whole serving loop: decode each request,
-//! submit it through the `AdmissionQueue`, apply mutation frames as
-//! barriers, and write responses back in completion order with the
-//! client's request id attached. This demo plays the client and the
-//! server in one process over in-memory buffers — swap the `Vec<u8>`s
-//! for a socket and nothing else changes.
+//! `serve_stream` runs the whole serving loop on two threads. The
+//! calling thread decodes each request, submits it through the
+//! `AdmissionQueue` and applies mutation frames as barriers; a writer
+//! thread writes each response, with the client's request id attached,
+//! as soon as its summary completes, flushing once per burst of ready
+//! answers. So responses come back in completion order, and a client
+//! never waits on its own next request for an answer. This demo plays
+//! the client and the server in one process over in-memory buffers —
+//! swap the `Vec<u8>`s for a socket (any `Read`, and any `Write + Send`)
+//! and nothing else changes.
 //!
 //! ```text
 //! cargo run --release --example streaming_serving
@@ -78,6 +82,8 @@ fn main() {
     );
 
     // ---- server side: one call serves the whole session ------------
+    // It returns at the end of the request stream, once every admitted
+    // request has been answered.
     let queue = AdmissionQueue::for_engine(
         g.clone(),
         SummaryEngine::new(),

@@ -74,3 +74,9 @@ fn breaker_transitions_are_race_free() {
     let stats = modelcheck::breaker_transitions_race_free();
     assert!(stats.schedules_explored > 1, "scheduler never branched");
 }
+
+#[test]
+fn wire_writer_handshake_writes_each_ticket_once() {
+    let stats = modelcheck::wire_writer_handshake();
+    assert!(stats.schedules_explored > 1, "scheduler never branched");
+}

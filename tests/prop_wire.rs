@@ -12,15 +12,25 @@
 //!   over framed requests (mutation barriers included) answers every
 //!   request id with a summary bit-identical to a direct
 //!   `SummaryEngine::summarize` over an identically mutated reference
-//!   graph.
+//!   graph;
+//! * **answers as they complete** — a client behind a `BufWriter` that
+//!   waits for each answer before sending its next request is served
+//!   round after round, with no frame to follow;
+//! * **failure paths** — a queue that refuses admission answers every
+//!   frame with an error under its own id, and a client that drops the
+//!   response pipe ends the run with `WireError::Io` without wedging
+//!   the queue for the next stream.
 
 use std::collections::HashMap;
+use std::io::{BufWriter, Write};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use xsum::core::wire::{
-    decode_frame, encode_frame, serve_stream, MutationRequest, MutationResponse, SummaryRequest,
-    SummaryResponse, WireError, WireFrame, WireMutation, WireSummary, WIRE_VERSION,
+    decode_frame, encode_frame, read_frame, serve_stream, MutationRequest, MutationResponse,
+    SummaryRequest, SummaryResponse, WireError, WireFrame, WireMutation, WireSummary, WIRE_VERSION,
 };
 use xsum::core::{
     AdmissionConfig, AdmissionQueue, BatchMethod, PcstConfig, PcstScope, Scenario, SteinerConfig,
@@ -352,6 +362,7 @@ proptest! {
         prop_assert_eq!(report.summaries, 2 * method_sels.len() as u64);
         prop_assert_eq!(report.mutations, 1);
         prop_assert_eq!(report.responses, 2 * method_sels.len() as u64 + 1);
+        prop_assert_eq!(report.responses, report.summaries + report.mutations);
 
         // Decode the response stream into an id → summary map.
         let mut got: HashMap<u64, WireSummary> = HashMap::new();
@@ -430,4 +441,242 @@ fn corrupt_stream_still_answers_admitted_requests() {
     assert_eq!(want.method, got.method.as_str());
     assert_eq!(want.subgraph.sorted_edges(), got.edges);
     assert_eq!(want.subgraph.sorted_nodes(), got.nodes);
+}
+
+/// How long a test waits for a stream to answer before calling it
+/// stalled.
+const WATCHDOG: Duration = Duration::from_secs(10);
+
+fn st_frame(id: u64, input: &SummaryInput) -> WireFrame {
+    WireFrame::SummaryRequest(SummaryRequest {
+        id,
+        method: BatchMethod::Steiner(SteinerConfig::default()),
+        input: input.clone(),
+    })
+}
+
+fn tiny_queue(g: &Graph) -> AdmissionQueue {
+    AdmissionQueue::for_engine(
+        g.clone(),
+        SummaryEngine::with_threads(2),
+        AdmissionConfig {
+            queue_bound: 64,
+            max_batch: 8,
+            linger_tickets: 2,
+        },
+    )
+}
+
+#[test]
+fn ping_pong_client_gets_each_answer_before_its_next_request() {
+    // One request in flight at a time: the client reads each answer
+    // before it writes the next frame, so no later frame or EOF can
+    // push an answer out. The response side is buffered, so an answer
+    // also needs a flush to reach the client.
+    let (mut g, inputs) = tiny_kg();
+    g.freeze();
+    let methods = [
+        BatchMethod::Steiner(SteinerConfig::default()),
+        BatchMethod::SteinerFast(SteinerConfig::default()),
+        BatchMethod::Pcst(PcstConfig::default()),
+    ];
+    const ROUNDS: u64 = 20;
+    const MUTATION_AT: u64 = 9;
+    let edge = EdgeId(0);
+    let weight = 0.25;
+    let (req_rx, mut req_tx) = std::io::pipe().expect("request pipe");
+    let (mut resp_rx, resp_tx) = std::io::pipe().expect("response pipe");
+
+    let queue = tiny_queue(&g);
+    let (report_tx, report_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = report_tx.send(serve_stream(req_rx, BufWriter::new(resp_tx), &queue));
+    });
+    let client_inputs = inputs.clone();
+    let (answers_tx, answers_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut answers = Vec::new();
+        for id in 0..ROUNDS {
+            let frame = if id == MUTATION_AT {
+                WireFrame::MutationRequest(MutationRequest {
+                    id,
+                    mutation: WireMutation::SetWeight { edge, weight },
+                })
+            } else {
+                WireFrame::SummaryRequest(SummaryRequest {
+                    id,
+                    method: methods[id as usize % methods.len()],
+                    input: client_inputs[id as usize % client_inputs.len()].clone(),
+                })
+            };
+            req_tx
+                .write_all(&encode_frame(&frame))
+                .expect("server reads requests");
+            let answer = read_frame(&mut resp_rx)
+                .expect("valid response frame")
+                .expect("an answer before the stream ends");
+            answers.push(answer);
+        }
+        drop(req_tx);
+        let tail = read_frame(&mut resp_rx).expect("clean end of responses");
+        let _ = answers_tx.send((answers, tail.is_none()));
+    });
+
+    let (answers, clean_end) = answers_rx
+        .recv_timeout(WATCHDOG)
+        .expect("serve_stream held an answer back until the next frame");
+    assert!(clean_end, "no response after the last answer");
+    let report = report_rx
+        .recv_timeout(WATCHDOG)
+        .expect("serve_stream returns at EOF")
+        .expect("clean stream serves");
+    assert_eq!(report.summaries, ROUNDS - 1);
+    assert_eq!(report.mutations, 1);
+    assert_eq!(report.responses, report.summaries + report.mutations);
+
+    let mut direct = SummaryEngine::with_threads(2);
+    for (id, answer) in (0..ROUNDS).zip(answers) {
+        match answer {
+            WireFrame::MutationResponse(resp) => {
+                assert_eq!((resp.id, resp.result), (MUTATION_AT, Ok(())));
+                g.set_weight(edge, weight);
+            }
+            WireFrame::SummaryResponse(resp) => {
+                assert_eq!(resp.id, id, "answers come back in request order");
+                let method = methods[id as usize % methods.len()];
+                let want = direct.summarize(&g, &inputs[id as usize % inputs.len()], method);
+                let got = resp.result.expect("request serves");
+                assert_wire_matches(&want, &got).expect("bit-identical to direct summarize");
+            }
+            other => panic!("request frame on the response stream: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn refused_admission_answers_every_frame_under_its_id() {
+    let (g, inputs) = tiny_kg();
+    g.freeze();
+    let queue = tiny_queue(&g);
+    queue.shutdown();
+    let mut stream = Vec::new();
+    for id in 0..6u64 {
+        let frame = if id % 3 == 2 {
+            WireFrame::MutationRequest(MutationRequest {
+                id,
+                mutation: WireMutation::SetWeight {
+                    edge: EdgeId(0),
+                    weight: 2.0,
+                },
+            })
+        } else {
+            st_frame(id, &inputs[id as usize % inputs.len()])
+        };
+        stream.extend_from_slice(&encode_frame(&frame));
+    }
+    let mut responses = Vec::new();
+    let report = serve_stream(&stream[..], &mut responses, &queue).expect("refusals are answers");
+    assert_eq!((report.summaries, report.mutations), (4, 2));
+    assert_eq!(report.responses, report.summaries + report.mutations);
+
+    let mut rest = &responses[..];
+    let mut ids = Vec::new();
+    while !rest.is_empty() {
+        let (frame, consumed) = decode_frame(rest).expect("valid response frame");
+        rest = &rest[consumed..];
+        match frame {
+            WireFrame::SummaryResponse(resp) => {
+                assert!(resp.id % 3 != 2, "summary ids answer as summaries");
+                assert!(resp.result.is_err(), "a shut-down queue serves nothing");
+                ids.push(resp.id);
+            }
+            WireFrame::MutationResponse(resp) => {
+                assert_eq!(resp.id % 3, 2, "mutation ids answer as mutations");
+                assert!(resp.result.is_err(), "a shut-down queue mutates nothing");
+                ids.push(resp.id);
+            }
+            other => panic!("request frame on the response stream: {other:?}"),
+        }
+    }
+    assert_eq!(
+        ids,
+        (0..6).collect::<Vec<u64>>(),
+        "answered in stream order"
+    );
+}
+
+#[test]
+fn dropped_response_pipe_ends_the_stream_and_spares_the_queue() {
+    let (g, inputs) = tiny_kg();
+    g.freeze();
+    let queue = Arc::new(tiny_queue(&g));
+    let (req_rx, mut req_tx) = std::io::pipe().expect("request pipe");
+    let (mut resp_rx, resp_tx) = std::io::pipe().expect("response pipe");
+    let (result_tx, result_rx) = mpsc::channel();
+    let server_queue = Arc::clone(&queue);
+    std::thread::spawn(move || {
+        let _ = result_tx.send(serve_stream(req_rx, resp_tx, &server_queue));
+    });
+
+    let unchanged = g.weight(EdgeId(0));
+    let client_inputs = inputs.clone();
+    std::thread::spawn(move || {
+        // One answered round trip proves the stream live...
+        req_tx
+            .write_all(&encode_frame(&st_frame(0, &client_inputs[0])))
+            .expect("server reads requests");
+        read_frame(&mut resp_rx)
+            .expect("valid response frame")
+            .expect("first answer");
+        // ...then the client goes away. Summaries the writer can no
+        // longer deliver and a mutation the reader answers itself both
+        // hit the broken pipe; the client's own writes may fail once
+        // the server stops reading.
+        drop(resp_rx);
+        for id in 1..8u64 {
+            let frame = if id == 4 {
+                WireFrame::MutationRequest(MutationRequest {
+                    id,
+                    mutation: WireMutation::SetWeight {
+                        edge: EdgeId(0),
+                        weight: unchanged,
+                    },
+                })
+            } else {
+                st_frame(id, &client_inputs[id as usize % client_inputs.len()])
+            };
+            let _ = req_tx.write_all(&encode_frame(&frame));
+        }
+    });
+    let err = result_rx
+        .recv_timeout(WATCHDOG)
+        .expect("serve_stream returns once the response pipe breaks")
+        .expect_err("a broken response pipe is an error");
+    assert!(matches!(err, WireError::Io(_)), "typed: {err}");
+
+    // The same queue serves a fresh stream: nothing wedged or poisoned.
+    let mut stream = Vec::new();
+    for id in 0..inputs.len() as u64 {
+        stream.extend_from_slice(&encode_frame(&st_frame(id, &inputs[id as usize])));
+    }
+    let mut responses = Vec::new();
+    let report = serve_stream(&stream[..], &mut responses, &queue).expect("fresh stream serves");
+    assert_eq!(report.responses, report.summaries + report.mutations);
+    assert_eq!(report.responses, inputs.len() as u64);
+    let mut direct = SummaryEngine::with_threads(2);
+    let mut rest = &responses[..];
+    while !rest.is_empty() {
+        let (frame, consumed) = decode_frame(rest).expect("valid response frame");
+        rest = &rest[consumed..];
+        let WireFrame::SummaryResponse(resp) = frame else {
+            panic!("summary responses only");
+        };
+        let want = direct.summarize(
+            &g,
+            &inputs[resp.id as usize],
+            BatchMethod::Steiner(SteinerConfig::default()),
+        );
+        let got = resp.result.expect("the queue still serves");
+        assert_wire_matches(&want, &got).expect("bit-identical to direct summarize");
+    }
 }
