@@ -594,8 +594,8 @@ impl std::io::Write for ModelPipe {
 }
 
 /// Summary responses in `bytes`, counted per tag.
-fn written_tags(bytes: &[u8]) -> [u32; 2] {
-    let mut seen = [0u32; 2];
+fn written_tags(bytes: &[u8]) -> [u32; 3] {
+    let mut seen = [0u32; 3];
     let mut rest = bytes;
     while !rest.is_empty() {
         let (frame, used) = decode_frame(rest).expect("the writer writes whole frames");
@@ -612,11 +612,17 @@ fn written_tags(bytes: &[u8]) -> [u32; 2] {
 /// [`TicketSet`]: the root thread plays the reader while a spawned
 /// thread runs the real writer loop into a [`ModelPipe`]. The reader
 /// adds ticket 0 and, like a ping-pong client, waits for its answer to
-/// be flushed; then it adds ticket 1 and closes at once. In every
-/// interleaving: a wake-up lost between the first add and the writer
-/// parking leaves both threads waiting forever, which the model reports
-/// as a deadlock; a writer that leaves with ticket 1 outstanding fails
-/// the exactly-once count; and each ticket is written exactly once.
+/// be flushed. Then, like a pipelining client, it adds tickets 1 and 2
+/// (both already resolved) back to back, but stalls between adding
+/// ticket 2 to the set and counting it on the gate until the writer
+/// has flushed another burst, as an OS-preempted reader might; then it
+/// counts ticket 2 and closes. In every interleaving: a wake-up lost
+/// between an add and the writer parking leaves both threads waiting
+/// forever, which the model reports as a deadlock; a burst that writes
+/// the uncounted ticket 2 retires more tickets than were counted,
+/// which overflows the gate's count; a writer that leaves with a
+/// ticket outstanding fails the exactly-once count; and each ticket is
+/// written exactly once.
 pub fn wire_writer_handshake() -> ModelStats {
     model_with(
         ModelConfig {
@@ -648,24 +654,37 @@ pub fn wire_writer_handshake() -> ModelStats {
                 })
             };
 
-            let add = |tag: u64| {
-                let ticket = queue
+            let submit = |tag: u64| {
+                queue
                     .submit(mock_input(tag as u32), mock_method())
-                    .expect("queue has room");
-                shared.0.add(tag, ticket);
+                    .expect("queue has room")
+            };
+            let count = || {
                 assert!(
                     shared.1.add(),
                     "the writer left while the reader was adding"
                 );
             };
-            add(0);
+            shared.0.add(0, submit(0));
+            count();
             let first = pipe.wait_flushed(1);
             assert_eq!(
                 written_tags(&first),
-                [1, 0],
+                [1, 0, 0],
                 "the first answer is ticket 0's"
             );
-            add(1);
+            // Resolved before they join the set, so the set yields
+            // each the moment it is added.
+            let (one, two) = (submit(1), submit(2));
+            queue.drain();
+            shared.0.add(1, one);
+            count();
+            shared.0.add(2, two);
+            // A reader preempted between adding ticket 2 to the set and
+            // counting it on the gate: the writer's next burst goes out
+            // meanwhile, and must not retire the uncounted ticket 2.
+            pipe.wait_flushed(first.len() + 1);
+            count();
             shared.1.close();
             writer
                 .join()
@@ -680,10 +699,10 @@ pub fn wire_writer_handshake() -> ModelStats {
             let all = pipe.wait_flushed(0);
             assert_eq!(
                 written_tags(&all),
-                [1, 1],
+                [1, 1, 1],
                 "a ticket was written zero or two times"
             );
-            assert_eq!(responses, 2, "the sink miscounted its frames");
+            assert_eq!(responses, 3, "the sink miscounted its frames");
         },
     )
 }

@@ -725,13 +725,15 @@ pub(crate) struct WriterGate {
 
 #[derive(Default)]
 struct GateState {
-    /// Tickets added to the set and not yet written.
+    /// Tickets counted by `add` and not yet written. The reader adds a
+    /// ticket to the set before counting it, so the set may briefly
+    /// hold one more; a burst writes at most this many.
     outstanding: u64,
     /// The reader adds no more tickets.
     closed: bool,
     /// The writer waits on `wake`; only then do `add`/`close` notify.
     parked: bool,
-    /// The writer has left (done, or at a failed write).
+    /// The writer has left (done, at a failed write, or on a panic).
     left: bool,
 }
 
@@ -769,17 +771,17 @@ impl WriterGate {
     }
 
     /// Writer: retire the `written` tickets of the last burst, then
-    /// park until a ticket is outstanding (`true`), or until the reader
-    /// has closed with none outstanding (`false`: leave).
-    pub(crate) fn next_burst(&self, written: u64) -> bool {
+    /// park until a ticket is outstanding, and return how many are; `0`
+    /// once the reader has closed with none outstanding (leave).
+    pub(crate) fn next_burst(&self, written: u64) -> u64 {
         let mut st = lock_recovering(&self.state);
         st.outstanding -= written;
         loop {
             if st.outstanding > 0 {
-                return true;
+                return st.outstanding;
             }
             if st.closed {
-                return false;
+                return 0;
             }
             st.parked = true;
             st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
@@ -835,36 +837,40 @@ impl<W: Write> ResponseSink<W> {
 /// [`serve_stream`]'s writer thread: blocks on `set` while a ticket is
 /// outstanding, writes every response already resolved as one burst
 /// with one flush, and parks on `gate` when none is outstanding.
-/// Leaves once the reader has closed and every ticket is written, or
-/// at the first failed write.
+/// Leaves once the reader has closed and every ticket is written, at
+/// the first failed write, or on a panic.
 pub(crate) fn write_completions<W: Write>(
     set: &TicketSet,
     gate: &WriterGate,
     out: &ResponseSink<W>,
 ) -> Result<(), WireError> {
+    // On every path out, a panic included, so the reader stops
+    // admitting requests nobody would answer.
+    let _leave = OnDrop(|| gate.leave());
     let mut burst = Vec::new();
     let mut written = 0;
-    let result = loop {
-        if !gate.next_burst(written) {
-            break Ok(());
+    loop {
+        let outstanding = gate.next_burst(written);
+        if outstanding == 0 {
+            return Ok(());
         }
         // The output lock is free while this blocks, so the reader can
         // answer a mutation meanwhile.
         let first = set
             .wait_any()
             .expect("an outstanding ticket is a member of the set");
+        // At most `outstanding` per burst: the set may already hold a
+        // ticket the reader has added but not yet counted, and writing
+        // it now would retire more than the gate has counted.
+        let rest = std::iter::from_fn(|| set.poll()).take(outstanding as usize - 1);
         burst.clear();
         written = 0;
-        for done in std::iter::once(first).chain(std::iter::from_fn(|| set.poll())) {
+        for done in std::iter::once(first).chain(rest) {
             encode_frame_into(&mut burst, &completed_response(done));
             written += 1;
         }
-        if let Err(e) = out.send(&burst, written) {
-            break Err(e);
-        }
-    };
-    gate.leave();
-    result
+        out.send(&burst, written)?;
+    }
 }
 
 /// [`serve_stream`]'s reader: decodes frames, adds admitted summaries
@@ -939,6 +945,11 @@ fn read_requests<W: Write>(
 /// A failed write ends the run with [`WireError::Io`] at the next
 /// request frame or EOF; the tickets still in flight are dropped,
 /// which leaves the queue serving.
+///
+/// # Panics
+///
+/// A panic in `writer` ends the run the same way and is re-raised
+/// here.
 pub fn serve_stream<R: Read, W: Write + Send>(
     reader: R,
     writer: W,

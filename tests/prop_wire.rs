@@ -19,7 +19,8 @@
 //! * **failure paths** — a queue that refuses admission answers every
 //!   frame with an error under its own id, and a client that drops the
 //!   response pipe ends the run with `WireError::Io` without wedging
-//!   the queue for the next stream.
+//!   the queue for the next stream; a writer that panics stops the
+//!   reader at its next request and the panic is re-raised.
 
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
@@ -679,4 +680,52 @@ fn dropped_response_pipe_ends_the_stream_and_spares_the_queue() {
         let got = resp.result.expect("the queue still serves");
         assert_wire_matches(&want, &got).expect("bit-identical to direct summarize");
     }
+}
+
+/// A response writer whose every write panics.
+struct PanickingWriter;
+
+impl Write for PanickingWriter {
+    fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+        panic!("response writer fault");
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn writer_panic_stops_the_reader_and_is_re_raised() {
+    let (g, inputs) = tiny_kg();
+    g.freeze();
+    let queue = Arc::new(tiny_queue(&g));
+    let (req_rx, mut req_tx) = std::io::pipe().expect("request pipe");
+    let (result_tx, result_rx) = mpsc::channel();
+    let server_queue = Arc::clone(&queue);
+    std::thread::spawn(move || {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_stream(req_rx, PanickingWriter, &server_queue)
+        }));
+        let _ = result_tx.send(run.is_err());
+    });
+
+    // A client that keeps the request pipe open past the watchdog and
+    // sends a request now and then, as one waiting on its answers
+    // would. The writer panics on the first answer; the reader must
+    // stop at a later request rather than keep admitting requests
+    // nobody will answer until EOF.
+    std::thread::spawn(move || {
+        for id in 0..600u64 {
+            let frame = st_frame(id, &inputs[id as usize % inputs.len()]);
+            if req_tx.write_all(&encode_frame(&frame)).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
+    });
+    let panicked = result_rx
+        .recv_timeout(WATCHDOG)
+        .expect("serve_stream returns once its writer has panicked");
+    assert!(panicked, "the writer's panic is re-raised by serve_stream");
 }
