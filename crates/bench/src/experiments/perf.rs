@@ -599,7 +599,7 @@ pub fn batch_bench(
 
 /// Measure every synthetic scaling level G1–G5 with one shared, lighter
 /// protocol: seed-path sequential latency (one pass), then warm KMB and
-/// ST-fast batch throughput (one warmup + [`LEVEL_REPS`] trimmed-mean
+/// ST-fast batch throughput (one warmup + `LEVEL_REPS` trimmed-mean
 /// rounds each). The per-level figures land in `BENCH_batch.json` as
 /// `levelN_*` keys; the historical G5 block keeps its own full-protocol
 /// measurement, so the two G5 figures are close but not the same number.

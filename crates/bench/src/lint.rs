@@ -14,9 +14,9 @@
 //!   recovered and the protocol's own invariants decide what survives.
 //! * **`rogue-spawn`** — `thread::spawn` / `thread::Builder` /
 //!   `thread::scope` outside the sanctioned spawn layers (the worker
-//!   pool, the scoped-parallel helpers, the admission dispatcher and
-//!   the model-check scenarios). Every thread must be owned by a
-//!   joinable, shutdown-aware structure.
+//!   pool, the admission dispatcher and the model-check scenarios).
+//!   Every thread must be owned by a joinable, shutdown-aware
+//!   structure.
 //! * **`wall-clock-in-dispatcher`** — `Instant::now` / `SystemTime::
 //!   now` in `admission.rs`. The coalescing linger window is
 //!   ticket-count based by design; wall-clock reads are only
@@ -99,7 +99,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "rogue-spawn",
-        summary: "thread spawn outside the sanctioned spawn layers (pool, parallel, dispatcher, modelcheck)",
+        summary: "thread spawn outside the sanctioned spawn layers (pool, dispatcher, modelcheck)",
         allowable: true,
     },
     Rule {
@@ -259,9 +259,9 @@ fn check_line(path: &str, code: &str, compact: &str) -> Vec<(&'static str, Strin
     {
         hits.push((
             "rogue-spawn",
-            "threads are owned by the worker pool, the scoped-parallel \
-             helpers or the admission dispatcher; spawning elsewhere \
-             escapes shutdown and panic containment"
+            "threads are owned by the worker pool or the admission \
+             dispatcher; spawning elsewhere escapes shutdown and panic \
+             containment"
                 .to_string(),
         ));
     }
@@ -327,12 +327,11 @@ fn check_line(path: &str, code: &str, compact: &str) -> Vec<(&'static str, Strin
     hits
 }
 
-/// Files whose job is to spawn threads: the pool, the scoped-parallel
-/// helpers, the facade, the admission dispatcher and the model-check
-/// scenarios (whose logical threads run under the loom scheduler).
+/// Files whose job is to spawn threads: the pool, the facade, the
+/// admission dispatcher and the model-check scenarios (whose logical
+/// threads run under the loom scheduler).
 const SPAWN_EXEMPT: &[&str] = &[
     "graph/src/pool.rs",
-    "graph/src/parallel.rs",
     "graph/src/sync.rs",
     "core/src/admission.rs",
     "core/src/modelcheck.rs",
@@ -805,7 +804,6 @@ mod tests {
     fn rogue_spawn_exempt_in_spawn_layers() {
         for path in [
             "crates/graph/src/pool.rs",
-            "crates/graph/src/parallel.rs",
             "crates/core/src/admission.rs",
             "crates/core/src/modelcheck.rs",
         ] {

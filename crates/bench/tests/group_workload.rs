@@ -1,8 +1,9 @@
 //! Workload-level checks for the G1–G5 group sweep: the pooled
 //! user-group input really reaches the big-|T| regime the sweep is
-//! meant to exercise, and [`SteinerWorkspace::set_parallel_threshold`]
-//! genuinely flips the metric closure between its sequential and
-//! parallel branches on that input — observable only through the
+//! meant to exercise, and the |T| ≥ 24 gate plus
+//! [`SteinerWorkspace::set_parallelism`] genuinely flip the metric
+//! closure between its sequential and parallel branches on that input —
+//! observable only through the
 //! [`SteinerWorkspace::last_closure_workers`] probe, because the two
 //! branches are bit-identical in their output.
 
@@ -30,38 +31,26 @@ fn group_workload_clears_the_parallel_closure_threshold() {
 }
 
 #[test]
-fn parallel_threshold_flips_the_closure_gate_bit_identically() {
+fn parallelism_flips_the_closure_gate_bit_identically() {
     let ds = scaling_graph_scaled(ScalingLevel::G1, 42, 0.2);
     let input = group_input(&ds, GROUP_USERS, 42, 3).expect("G1 yields group paths");
     let cfg = SteinerConfig::default();
     let costs = steiner_costs(&ds.kg.graph, &input, &cfg);
+    assert!(input.terminals.len() >= 24, "the group clears the gate");
 
     let mut ws = SteinerWorkspace::new();
     assert_eq!(ws.last_closure_workers(), 0, "no closure built yet");
 
-    // Low threshold + a thread budget: the closure must fan out.
+    // |T| ≥ 24 and a thread budget: the closure must fan out.
     ws.set_parallelism(4);
-    ws.set_parallel_threshold(2);
     let parallel = steiner_tree_with(&ds.kg.graph, &costs, &input.terminals, &mut ws);
     assert!(
         ws.last_closure_workers() > 1,
-        "threshold 2 with 4 threads engages the parallel branch (got {})",
+        "|T| ≥ 24 with 4 threads engages the parallel branch (got {})",
         ws.last_closure_workers()
     );
 
-    // Threshold above |T|: the same workspace falls back to the
-    // sequential branch.
-    ws.set_parallel_threshold(input.terminals.len() + 1);
-    let sequential = steiner_tree_with(&ds.kg.graph, &costs, &input.terminals, &mut ws);
-    assert_eq!(
-        ws.last_closure_workers(),
-        1,
-        "threshold above |T| runs the sequential branch"
-    );
-
-    // A parallelism budget of 1 also forces sequential, whatever the
-    // threshold says.
-    ws.set_parallel_threshold(2);
+    // A parallelism budget of 1 pins the same input sequential.
     ws.set_parallelism(1);
     let pinned = steiner_tree_with(&ds.kg.graph, &costs, &input.terminals, &mut ws);
     assert_eq!(
@@ -70,10 +59,22 @@ fn parallel_threshold_flips_the_closure_gate_bit_identically() {
         "1-thread budget pins sequential"
     );
 
-    // The gate is a pure scheduling decision: all three subgraphs are
+    // The gate is a pure scheduling decision: the subgraphs are
     // bit-identical.
-    assert_eq!(parallel.sorted_nodes(), sequential.sorted_nodes());
-    assert_eq!(parallel.sorted_edges(), sequential.sorted_edges());
     assert_eq!(parallel.sorted_nodes(), pinned.sorted_nodes());
     assert_eq!(parallel.sorted_edges(), pinned.sorted_edges());
+
+    // Below the gate, even a 4-thread budget runs the sequential branch.
+    let subset = &input.terminals[..23];
+    ws.set_parallelism(4);
+    let budgeted = steiner_tree_with(&ds.kg.graph, &costs, subset, &mut ws);
+    assert_eq!(
+        ws.last_closure_workers(),
+        1,
+        "|T| = 23 stays under the gate"
+    );
+    ws.set_parallelism(1);
+    let pinned = steiner_tree_with(&ds.kg.graph, &costs, subset, &mut ws);
+    assert_eq!(budgeted.sorted_nodes(), pinned.sorted_nodes());
+    assert_eq!(budgeted.sorted_edges(), pinned.sorted_edges());
 }

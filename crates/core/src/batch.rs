@@ -4,8 +4,9 @@
 //! Serving summary explanations to a user base means computing thousands
 //! of independent summaries against one shared, frozen knowledge graph —
 //! an embarrassingly parallel workload. [`summarize_batch`] distributes
-//! inputs over the engine's worker threads ([`xsum_graph::parallel`])
-//! with work stealing, so skewed inputs (one giant group summary among
+//! inputs over the engine's worker threads
+//! ([`WorkerPool::map_with`](xsum_graph::WorkerPool::map_with)) with
+//! work stealing, so skewed inputs (one giant group summary among
 //! many small user-centric ones) still balance.
 //!
 //! Each worker owns one
@@ -18,7 +19,7 @@
 //! sequential entry point ([`steiner_summary`] / [`pcst_summary`] /
 //! [`gw_pcst_summary`]). Since the persistent-engine refactor these
 //! free functions are one-shot wrappers over
-//! [`SummaryEngine`](crate::engine::SummaryEngine): callers issuing
+//! [`SummaryEngine`]: callers issuing
 //! many batches against the same graph should hold an engine instead,
 //! which keeps the worker pool, workspaces, and cost-model cache warm
 //! across calls.

@@ -10,25 +10,24 @@
 //!
 //! * a pinned [`WorkerPool`] — threads spawned once and parked between
 //!   calls, woken per batch with one condvar broadcast;
-//! * one [`EngineWorker`] per pool thread, owning a [`SteinerWorkspace`]
+//! * one `EngineWorker` per pool thread, owning a [`SteinerWorkspace`]
 //!   and an Eq. 1 cost buffer that survive across batches, so a warm
 //!   batch patches O(|paths|) per summary and never touches the
 //!   allocator for search state;
 //! * a [`CostModelCache`] keyed by (graph epoch, config), shared by the
 //!   batched and single-summary paths, so switching λ or serving an
 //!   updated graph rebuilds the O(|E|) base table exactly once;
-//! * a [`SessionStore`](crate::session::SessionStore) of incremental
-//!   per-user sessions (k grows as the user scrolls), with LRU eviction
-//!   and graph-epoch invalidation.
+//! * a [`SessionStore`] of incremental per-user sessions (k grows as
+//!   the user scrolls), with LRU eviction and graph-epoch invalidation.
 //!
 //! The whole stack is **delta-aware**: a weight-only mutation recorded
 //! in the [`Graph::delta_since`] ledger is absorbed in O(|touched
 //! edges|) at every layer instead of cascading into O(|E| + caches +
 //! sessions) of rebuild. The [`CostModelCache`] patches its resident
 //! Eq. 1 table in place ([`CostModelCache::patches`] counts these);
-//! each [`EngineWorker`]'s private cost buffer refreshes only the
+//! each `EngineWorker`'s private cost buffer refreshes only the
 //! touched entries when its recorded anchor bits match the new model's
-//! ([`EngineWorker::begin_summary`]); and the session store keeps every
+//! (`EngineWorker::begin_summary`); and the session store keeps every
 //! session whose touched-edge fingerprint is disjoint from the delta.
 //! Structural mutations (or an anchor-moving delta) still take the
 //! rebuild path — the ledger only certifies what is provably
@@ -62,7 +61,7 @@ use crate::summary::Summary;
 /// The engine's state survives the panic that produced one of these:
 /// the pool catches worker panics and finishes the dispatch, and any
 /// cost buffer that was mid-patch is left flagged dirty
-/// ([`EngineWorker::begin_summary`]) so the next call re-copies the
+/// (`EngineWorker::begin_summary`) so the next call re-copies the
 /// Eq. 1 base instead of serving leftover patched costs. A front-end
 /// holding the engine can therefore log the error and keep serving —
 /// see [`SummaryEngine::try_summarize_batch`].
@@ -313,19 +312,6 @@ impl SummaryEngine {
     /// summaries with LRU eviction and epoch invalidation).
     pub fn sessions(&mut self) -> &mut SessionStore {
         &mut self.sessions
-    }
-
-    /// Override the deduplicated-terminal count from which a lone batch
-    /// worker's metric closure fans out across threads (`0` restores
-    /// the default; see
-    /// [`SteinerWorkspace::set_parallel_threshold`]). Applied to every
-    /// persistent worker workspace — shard replicas running few outer
-    /// workers lower it so mid-sized terminal groups still use the
-    /// replica's idle cores.
-    pub fn set_metric_closure_threshold(&mut self, min_terminals: usize) {
-        for w in &mut self.workers {
-            w.ws.set_parallel_threshold(min_terminals);
-        }
     }
 
     /// Compute one summary on the calling thread, reusing the engine's

@@ -34,10 +34,12 @@
 //! * [`steiner_tree`] keeps all KMB scratch (terminal dedup, metric
 //!   closure, path arena, per-worker Dijkstra state) in a reusable
 //!   [`SteinerWorkspace`] and allocates nothing but the output subgraph
-//!   once warm; a parallel metric closure for large terminal sets
-//!   (|T| ≥ 24) is available by opt-in via
-//!   [`SteinerWorkspace::set_parallelism`] — the sequential entry
-//!   points never spawn threads on their own;
+//!   once warm. For large terminal sets (|T| ≥ 24) the metric closure
+//!   fans out on a pool the workspace spawns at its first fan-out: a
+//!   fresh workspace's budget is [`num_threads`](xsum_graph::num_threads)
+//!   and [`SteinerWorkspace::set_parallelism`] caps it. The sequential
+//!   entry points and the engine's multi-worker batches pin it to 1, so
+//!   they never spawn threads of their own;
 //! * [`summarize_batch`] fans a slice of [`SummaryInput`]s across worker
 //!   threads for ST, ST-fast ([`steiner_summary_fast`], the Mehlhorn
 //!   closure), PCST, and GW-PCST alike, each worker reusing its own

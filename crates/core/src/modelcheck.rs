@@ -22,7 +22,8 @@
 //! Scenario inventory (mirrors the invariants the suite pins):
 //!
 //! * [`pool_map_with_and_drop`] — the real [`WorkerPool`] end to end:
-//!   lazy spawn, work-stealing dispatch, completion wait, shutdown.
+//!   lazy spawn, work-stealing dispatch, a statically paired zip
+//!   dispatch, completion waits, shutdown.
 //! * [`pool_shutdown_protocol`] — a minimal replica of the pool's
 //!   seq/shutdown worker protocol under a teardown that races an
 //!   outstanding wake-up. `buggy = true` re-introduces the pre-PR 4
@@ -146,9 +147,11 @@ fn mock_method() -> BatchMethod {
 }
 
 /// The real [`WorkerPool`] under the model: lazy worker spawn, a
-/// work-stealing `map_with` over more items than workers, and Drop's
-/// shutdown broadcast. Any interleaving that loses an item, wakes
-/// nobody, or deadlocks the completion wait fails the check.
+/// work-stealing `map_with` over more items than workers, a `zip_map`
+/// on the same (already parked) workers, and Drop's shutdown
+/// broadcast. Any interleaving that loses an item, runs a pair on the
+/// wrong state, wakes nobody, or deadlocks a completion wait fails the
+/// check.
 pub fn pool_map_with_and_drop() -> ModelStats {
     model_with(
         ModelConfig {
@@ -170,6 +173,12 @@ pub fn pool_map_with_and_drop() -> ModelStats {
                 3,
                 "work-stealing ran an item zero or two times"
             );
+            let zipped = pool.zip_map(&mut states, &[10u32, 20], |seen, item| {
+                *seen = *item;
+                *item + 1
+            });
+            assert_eq!(zipped, vec![11, 21], "zip_map lost or reordered a pair");
+            assert_eq!(states, [10, 20], "zip_map ran a pair on a foreign state");
             drop(pool);
         },
     )

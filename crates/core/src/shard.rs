@@ -35,14 +35,13 @@
 //! * **Scatter/gather batching.** [`ShardedEngine::summarize_batch`]
 //!   groups a mixed batch by shard, dispatches the per-shard
 //!   sub-batches onto the replicas' pinned worker pools **concurrently**
-//!   ([`parallel_zip_map`] pairs replica *i* with sub-batch *i*
-//!   statically — no stealing across replicas), and reassembles the
-//!   outputs in input order.
+//!   ([`WorkerPool::zip_map`] runs replica *i*'s sub-batch on scatter
+//!   worker *i* — static pairing, no stealing across replicas), and
+//!   reassembles the outputs in input order.
 //! * **Shard-affine sessions.** [`HashRouter`] routes a
 //!   [`SessionKey`] by hashing its user identity, so a user's
 //!   scrolling session always lands on the same replica and that
-//!   replica's [`SessionStore`](crate::session::SessionStore) stays
-//!   hot.
+//!   replica's [`SessionStore`] stays hot.
 //! * **Coherent mutation.** The replicas' graphs are private, so
 //!   writes go through [`ShardedEngine::mutate`], which applies the
 //!   same closure to every replica and thereby bumps every replica's
@@ -92,7 +91,7 @@ use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xsum_graph::sync::Arc;
 
-use xsum_graph::{fxhash::FxHasher, num_threads, parallel_zip_map, EdgeId, Graph, NodeId};
+use xsum_graph::{fxhash::FxHasher, num_threads, EdgeId, Graph, NodeId, WorkerPool};
 
 use crate::batch::BatchMethod;
 use crate::engine::{EngineError, SummaryEngine};
@@ -193,6 +192,9 @@ pub use crate::breaker::{BreakerState, CircuitBreaker, CircuitConfig};
 #[derive(Debug)]
 pub struct ShardedEngine {
     replicas: Vec<ShardReplica>,
+    /// The scatter's front-end threads, one per replica: pool worker
+    /// *i* serves replica *i*'s sub-batch.
+    scatter: WorkerPool,
     /// Per-replica circuit-breaker state, parallel to `replicas`.
     health: Vec<CircuitBreaker>,
     circuit: CircuitConfig,
@@ -229,6 +231,7 @@ impl ShardedEngine {
             })
             .collect();
         ShardedEngine {
+            scatter: WorkerPool::new(replicas.len()),
             health: vec![CircuitBreaker::new(circuit); replicas.len()],
             circuit,
             serve_clock: 0,
@@ -278,16 +281,6 @@ impl ShardedEngine {
             .iter()
             .map(|r| r.engine.cost_cache_patches())
             .collect()
-    }
-
-    /// Forward
-    /// [`SummaryEngine::set_metric_closure_threshold`] to every replica
-    /// — shard replicas run few outer workers, so lowering the gate
-    /// lets mid-sized terminal groups still fan out inside a replica.
-    pub fn set_metric_closure_threshold(&mut self, min_terminals: usize) {
-        for r in &mut self.replicas {
-            r.engine.set_metric_closure_threshold(min_terminals);
-        }
     }
 
     /// Replace the per-replica circuit-breaker tuning and reset every
@@ -510,10 +503,10 @@ impl ShardedEngine {
             .map(|indices| indices.iter().map(|&i| inputs[i].borrow()).collect())
             .collect();
         // Dispatch: replica i serves exactly sub-batch i, concurrently.
-        // Idle replicas (empty sub-batch) are skipped — they would
-        // spawn a front-end thread only to return nothing. Each
-        // dispatch draws at `ShardServe` and runs under `catch_unwind`,
-        // so one replica's failure costs only its own sub-batch.
+        // Idle replicas (empty sub-batch) are skipped — they would wake
+        // a front-end thread only to return nothing. Each dispatch
+        // draws at `ShardServe` and runs under `catch_unwind`, so one
+        // replica's failure costs only its own sub-batch.
         let mut busy: Vec<&mut ShardReplica> = Vec::new();
         let mut busy_subs: Vec<&[&SummaryInput]> = Vec::new();
         let mut busy_idx: Vec<usize> = Vec::new();
@@ -526,7 +519,7 @@ impl ShardedEngine {
         }
         let faults = self.faults.clone();
         let per_shard: Vec<Result<Vec<Summary>, EngineError>> =
-            parallel_zip_map(&mut busy, &busy_subs, |r, sub| {
+            self.scatter.zip_map(&mut busy, &busy_subs, |r, sub| {
                 if let Some(inj) = &faults {
                     if let Some(kind) = inj.fire(FaultSite::ShardServe) {
                         match kind {
@@ -569,8 +562,8 @@ impl ShardedEngine {
     /// [`ShardedEngine::summarize_batch`] with worker panics surfaced
     /// as a recoverable [`EngineError`]; every replica stays
     /// serviceable afterwards (see
-    /// [`SummaryEngine::try_summarize_batch`] — the scatter scope joins
-    /// all replica dispatches before the panic is rethrown here, so no
+    /// [`SummaryEngine::try_summarize_batch`] — the scatter joins all
+    /// replica dispatches before the panic is rethrown here, so no
     /// replica is abandoned mid-batch).
     pub fn try_summarize_batch(
         &mut self,

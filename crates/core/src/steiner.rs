@@ -39,23 +39,21 @@
 use std::cell::RefCell;
 
 use xsum_graph::{
-    kruskal, num_threads, parallel_map_with, DijkstraWorkspace, EdgeCosts, EdgeId, FxHashMap,
-    FxHashSet, Graph, MstEdge, NodeId, Subgraph, WeightDeltaRec,
+    kruskal, num_threads, DijkstraWorkspace, EdgeCosts, EdgeId, FxHashMap, FxHashSet, Graph,
+    MstEdge, NodeId, Subgraph, WeightDeltaRec, WorkerPool,
 };
 
 use crate::input::SummaryInput;
 use crate::summary::Summary;
 use crate::weighting::adjusted_weights;
 
-/// Default terminal count from which the metric closure fans its
-/// Dijkstras out across threads. Below this, thread handoff costs more
-/// than the |T| searches; the paper's user-centric k≤10 inputs always
-/// stay sequential while group scenarios with hundreds of terminals
+/// Terminal count from which the metric closure fans its Dijkstras out
+/// across threads. Below this, thread handoff costs more than the |T|
+/// searches; the paper's user-centric k≤10 inputs always stay
+/// sequential while group scenarios with hundreds of terminals
 /// parallelize. The gate always counts **deduplicated** terminals (the
 /// closure runs one Dijkstra per distinct terminal, so duplicates must
-/// not buy a fan-out), and per-workspace overrides are available via
-/// [`SteinerWorkspace::set_parallel_threshold`] — shard replicas with
-/// few workers lower it so their rarer large groups still fan out.
+/// not buy a fan-out).
 const PARALLEL_TERMINAL_THRESHOLD: usize = 24;
 
 /// Parameters of the ST summarizer.
@@ -169,7 +167,7 @@ impl SteinerCostModel {
     /// the only bit-faithful option. On success the table is
     /// bit-identical to [`SteinerCostModel::new`] on the post-delta
     /// graph: the per-entry expression is the same, and
-    /// [`delta_keeps_anchor`] guarantees the rebuilt fold would produce
+    /// `delta_keeps_anchor` guarantees the rebuilt fold would produce
     /// the same anchor.
     pub fn patch_weight_delta(&mut self, touched: &[WeightDeltaRec]) -> bool {
         if !delta_keeps_anchor(self.base_max, touched) {
@@ -323,9 +321,9 @@ impl CostModelKey {
 /// One instance backs each [`crate::engine::SummaryEngine`]; a
 /// thread-local instance backs the sequential [`steiner_summary`] /
 /// [`steiner_summary_fast`] entry points, which previously rebuilt the
-/// O(|E|) Eq. 1 table on every call. Models are shared out as [`Arc`]s
-/// so workers can hold them across a parallel region without borrowing
-/// the cache.
+/// O(|E|) Eq. 1 table on every call. Models are shared out as
+/// [`Arc`](std::sync::Arc)s so workers can hold them across a parallel
+/// region without borrowing the cache.
 #[derive(Debug)]
 pub struct CostModelCache {
     capacity: usize,
@@ -355,7 +353,7 @@ impl CostModelCache {
     ///
     /// The patch path fires when a resident entry has the same config
     /// bits, the graph's [`Graph::delta_since`] ledger covers the epoch
-    /// gap, and [`delta_keeps_anchor`] holds — then the entry's table is
+    /// gap, and `delta_keeps_anchor` holds — then the entry's table is
     /// rewritten in place (bit-identical to a rebuild) and re-keyed to
     /// the current epoch. Anything else misses wholesale, exactly as
     /// before the ledger existed.
@@ -482,7 +480,8 @@ pub(crate) fn cached_steiner_costs(
 /// Owns the per-call buffers of the KMB construction — the deduplicated
 /// terminal list, the metric-closure edge list, and a flat edge-id arena
 /// holding every pair's expanded shortest path — plus one
-/// [`DijkstraWorkspace`] per potential worker thread. After the first
+/// [`DijkstraWorkspace`] per potential worker thread and the
+/// [`WorkerPool`] the parallel metric closure runs on. After the first
 /// call at a given problem size, a summary computes without allocating
 /// anything but its output subgraph.
 #[derive(Debug, Default)]
@@ -507,9 +506,10 @@ pub struct SteinerWorkspace {
     /// [`num_threads`]; 1 = stay sequential (set by outer parallel
     /// regions so worker threads never nest thread pools).
     parallelism: usize,
-    /// Deduplicated-terminal count from which the metric closure fans
-    /// out: 0 = the built-in [`PARALLEL_TERMINAL_THRESHOLD`] default.
-    parallel_threshold: usize,
+    /// The closure fan-out's threads: spawned at the first parallel
+    /// closure and parked between calls, so a workspace that never fans
+    /// out never owns a thread.
+    pool: Option<WorkerPool>,
     /// Worker count the most recent metric closure actually ran with
     /// (1 = sequential); 0 until the first closure builds.
     last_closure_workers: usize,
@@ -529,41 +529,15 @@ impl SteinerWorkspace {
         self.parallelism = threads;
     }
 
-    /// Override the deduplicated-terminal count from which the metric
-    /// closure fans out across threads (`0` restores the built-in
-    /// default of [`PARALLEL_TERMINAL_THRESHOLD`]; values below 2 clamp
-    /// to 2, the smallest terminal set with a closure to build). Only
-    /// observable when [`SteinerWorkspace::set_parallelism`] grants a
-    /// budget above 1 — shard replicas running few outer workers lower
-    /// this so mid-sized groups still use their idle cores.
-    pub fn set_parallel_threshold(&mut self, min_terminals: usize) {
-        self.parallel_threshold = if min_terminals == 0 {
-            0
-        } else {
-            min_terminals.max(2)
-        };
-    }
-
     /// How many workers the most recent metric closure actually used:
     /// `1` means the sequential branch ran, `> 1` the parallel
     /// fan-out, `0` that no closure has been built yet. A probe for
-    /// workload tests asserting that [`set_parallel_threshold`] /
-    /// [`set_parallelism`] really flip the gate — results are
-    /// bit-identical either way, so only this observable can tell the
-    /// branches apart.
-    ///
-    /// [`set_parallel_threshold`]: SteinerWorkspace::set_parallel_threshold
-    /// [`set_parallelism`]: SteinerWorkspace::set_parallelism
+    /// workload tests asserting that
+    /// [`SteinerWorkspace::set_parallelism`] really flips the gate —
+    /// results are bit-identical either way, so only this observable can
+    /// tell the branches apart.
     pub fn last_closure_workers(&self) -> usize {
         self.last_closure_workers
-    }
-
-    /// The active fan-out gate (post-dedup terminal count).
-    fn parallel_threshold(&self) -> usize {
-        match self.parallel_threshold {
-            0 => PARALLEL_TERMINAL_THRESHOLD,
-            n => n,
-        }
     }
 
     /// Build the metric closure over `terminals` into `closure` /
@@ -582,7 +556,7 @@ impl SteinerWorkspace {
         // `t` counts `self.terminals` *after* the callers' sort+dedup —
         // the gate must never let duplicate terminals (which cost no
         // extra Dijkstras) buy a thread fan-out.
-        let workers = if t >= self.parallel_threshold() {
+        let workers = if t >= PARALLEL_TERMINAL_THRESHOLD {
             budget.min(t)
         } else {
             1
@@ -623,9 +597,13 @@ impl SteinerWorkspace {
         // carry their own DijkstraWorkspace and return (pair, dist,
         // local path span) batches that merge into the shared arena.
         g.freeze();
+        let pool = match &mut self.pool {
+            Some(pool) if pool.workers() >= workers => pool,
+            slot => slot.insert(WorkerPool::new(workers)),
+        };
         let terminals = &self.terminals;
         let sources: Vec<usize> = (0..t - 1).collect();
-        let per_source = parallel_map_with(&mut self.workers[..workers], &sources, |ws, _, &si| {
+        let per_source = pool.map_with(&mut self.workers[..workers], &sources, |ws, _, &si| {
             let targets = &terminals[si + 1..];
             ws.run(g, costs, terminals[si], targets);
             let mut paths: Vec<EdgeId> = Vec::new();
@@ -1286,29 +1264,33 @@ mod tests {
     }
 
     #[test]
-    fn parallel_threshold_is_configurable_and_preserves_output() {
-        let (g, n) = hub_graph();
+    fn parallel_closure_runs_on_a_lazy_pool_and_matches_sequential() {
+        // A ring of 30 items, each also hanging off one of 3 hubs: 30
+        // distinct terminals clear the fan-out gate.
+        let mut g = Graph::new();
+        let hubs: Vec<NodeId> = (0..3).map(|_| g.add_node(NodeKind::Entity)).collect();
+        let items: Vec<NodeId> = (0..30).map(|_| g.add_node(NodeKind::Item)).collect();
+        for (i, &it) in items.iter().enumerate() {
+            g.add_edge(it, hubs[i % 3], 1.0, EdgeKind::Attribute);
+            g.add_edge(it, items[(i + 1) % 30], 1.0, EdgeKind::Attribute);
+        }
         let costs = EdgeCosts::uniform(&g, 1.0);
-        let terminals = [n[0], n[1], n[2]];
         let mut seq_ws = SteinerWorkspace::new();
         seq_ws.set_parallelism(1);
-        let want = steiner_tree_with(&g, &costs, &terminals, &mut seq_ws);
+        let want = steiner_tree_with(&g, &costs, &items, &mut seq_ws);
+        assert_eq!(seq_ws.last_closure_workers(), 1);
 
-        // Lowered threshold + a real budget: 3 distinct terminals now
-        // fan out (3 workspaces), and the tree is bit-identical.
         let mut ws = SteinerWorkspace::new();
         ws.set_parallelism(4);
-        ws.set_parallel_threshold(2);
-        let got = steiner_tree_with(&g, &costs, &terminals, &mut ws);
-        assert_eq!(ws.workers.len(), 3, "lowered gate must fan out");
-        assert_eq!(want.sorted_edges(), got.sorted_edges());
-        assert_eq!(want.sorted_nodes(), got.sorted_nodes());
-
-        // `0` restores the default; `1` clamps to the smallest closure.
-        ws.set_parallel_threshold(0);
-        assert_eq!(ws.parallel_threshold(), PARALLEL_TERMINAL_THRESHOLD);
-        ws.set_parallel_threshold(1);
-        assert_eq!(ws.parallel_threshold(), 2);
+        assert!(ws.pool.is_none(), "a fresh workspace owns no threads");
+        for _ in 0..2 {
+            let got = steiner_tree_with(&g, &costs, &items, &mut ws);
+            assert_eq!(ws.last_closure_workers(), 4);
+            assert_eq!(want.sorted_edges(), got.sorted_edges());
+            assert_eq!(want.sorted_nodes(), got.sorted_nodes());
+        }
+        let pool = ws.pool.as_ref().expect("the fan-out keeps its pool");
+        assert_eq!(pool.workers(), 4);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! request/response records in a compact length-prefixed binary
 //! framing, plus [`serve_stream`] — the loop that turns any
 //! `Read`/`Write` pair into a front-end over an
-//! [`AdmissionQueue`](crate::admission::AdmissionQueue).
+//! [`AdmissionQueue`].
 //!
 //! # Framing
 //!
@@ -37,7 +37,7 @@
 //! [`serve_stream`] runs on two threads. The calling thread reads: it
 //! decodes request frames, submits summaries through the queue and
 //! registers the tickets in a
-//! [`TicketSet`](crate::admission::TicketSet) tagged by request id.
+//! [`TicketSet`] tagged by request id.
 //! It applies mutation barriers in stream order and answers them, and
 //! any request refused at admission, itself. A scoped writer thread,
 //! joined before `serve_stream` returns, blocks on the set and writes

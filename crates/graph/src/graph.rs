@@ -224,7 +224,7 @@ const MAX_DELTA_EDGES: usize = 1 << 16;
 /// The knowledge-based graph `G(V, E, w)`.
 ///
 /// Storage is index-based: nodes and edges live in contiguous arrays, and
-/// adjacency is served from a frozen CSR layout ([`CsrAdj`]) that merges
+/// adjacency is served from a frozen CSR layout (`CsrAdj`) that merges
 /// in- and out-edges so traversals see the weak (undirected) view. The
 /// CSR is built lazily on the first adjacency query after a mutation and
 /// cached until the next mutation, so the build-then-search lifecycle

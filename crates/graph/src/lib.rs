@@ -23,13 +23,13 @@
 //!   arrays) making repeated searches allocation-free after warmup, with
 //!   O(1) clears, O(1) early-exit target accounting, and a CSR-resident
 //!   relaxation loop streaming the frozen adjacency and cost slices;
-//! * [`parallel`]: a minimal scoped fork–join (`parallel_map_with`) that
-//!   threads per-worker workspaces through a parallel region — the
-//!   engine's substitute for rayon in registry-less builds;
-//! * [`WorkerPool`]: the persistent sibling of [`parallel_map_with`] —
-//!   threads spawned once and parked between calls, so a long-lived
-//!   serving engine pays one condvar broadcast per batch instead of one
-//!   thread spawn per worker per call;
+//! * [`WorkerPool`]: the one threading substrate — a persistent pool of
+//!   threads spawned once and parked between calls, running a
+//!   work-stealing map with per-worker state ([`WorkerPool::map_with`])
+//!   or a statically paired one ([`WorkerPool::zip_map`]) over borrowed
+//!   caller data, so a long-lived serving engine pays one condvar
+//!   broadcast per fork–join instead of one thread spawn per worker —
+//!   the engine's substitute for rayon in registry-less builds;
 //! * [`Path`]: a validated walk through the graph, the unit of individual
 //!   path-based explanations;
 //! * [`Subgraph`]: an edge/node subset of a parent graph, the unit of
@@ -53,7 +53,6 @@ pub mod ids;
 pub mod loosepath;
 pub mod mst;
 pub mod pagerank;
-pub mod parallel;
 pub mod path;
 pub mod pool;
 pub mod subgraph;
@@ -70,9 +69,8 @@ pub use ids::{EdgeId, NodeId, NodeKind};
 pub use loosepath::LoosePath;
 pub use mst::{kruskal, prim, prim_with, MstEdge, PrimWorkspace};
 pub use pagerank::{pagerank, PageRankConfig};
-pub use parallel::{num_threads, parallel_map, parallel_map_with, parallel_zip_map};
 pub use path::Path;
-pub use pool::{DispatchHook, InFlightJob, WorkerPool};
+pub use pool::{num_threads, DispatchHook, InFlightJob, WorkerPool};
 pub use subgraph::Subgraph;
 pub use traversal::{
     bfs_order, is_weakly_connected, is_weakly_connected_in_subgraph, weakly_connected_components,

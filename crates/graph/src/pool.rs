@@ -1,20 +1,18 @@
 //! A persistent worker pool: threads spawned once, parked between calls.
 //!
-//! [`parallel_map_with`](crate::parallel_map_with) spawns and joins a
-//! scoped thread per worker on every call — fine for one wide batch,
-//! wasteful for a serving loop issuing many batches against the same
-//! engine. [`WorkerPool`] keeps its workers alive across calls: each
-//! [`WorkerPool::map_with`] wakes the parked threads, runs the same
-//! cursor-stealing indexed map with per-worker state, and parks them
-//! again, so steady-state dispatch costs one condvar broadcast instead
-//! of `workers` thread spawns.
+//! The workspace builds without a registry, so instead of rayon this
+//! module is the one threading substrate of the summarization stack.
+//! [`WorkerPool`] keeps its workers alive across calls and offers two
+//! fork–join shapes over borrowed caller state:
 //!
-//! `map_with` mirrors the `parallel_map_with` signature and semantics
-//! exactly (same work stealing, same result ordering, same sequential
-//! fallback for a single state or item), so callers can swap one for the
-//! other without behavioral change — this is the "pinned thread pool
-//! behind the same `parallel_map_with` signature" slot of the multi-
-//! backend ROADMAP item.
+//! * [`WorkerPool::map_with`] — an indexed map with work stealing and
+//!   one mutable state per worker (engine batches, the metric
+//!   closure's per-source Dijkstras);
+//! * [`WorkerPool::zip_map`] — a statically paired map, state *i* with
+//!   item *i* on worker *i* (the sharded front-end's scatter).
+//!
+//! Each call wakes the parked threads with one condvar broadcast and
+//! parks them again, so steady-state dispatch never spawns a thread.
 //!
 //! The pool's dispatch/teardown handshake (seq bump, shutdown flag,
 //! job-slot clear, broadcasts) is documented in `CONCURRENCY.md` at
@@ -27,7 +25,7 @@
 //! states), so they cannot be boxed as `'static` closures. Instead the
 //! dispatching call erases the job to a raw `*const dyn Fn(usize)`
 //! pointer and blocks until every worker has finished it; the pointee
-//! outlives the dispatch because `map_with` does not return before the
+//! outlives the dispatch because no dispatching call returns before the
 //! completion count reaches zero. Worker panics are caught, counted
 //! down like completions (so the caller never deadlocks), and resumed
 //! on the calling thread.
@@ -36,6 +34,22 @@ use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+/// Number of worker threads parallel regions use: `XSUM_THREADS` if set
+/// (clamped to ≥ 1), else available hardware parallelism.
+pub fn num_threads() -> usize {
+    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CACHE.get_or_init(|| {
+        if let Ok(v) = std::env::var("XSUM_THREADS") {
+            if let Ok(n) = v.trim().parse::<usize>() {
+                return n.max(1);
+            }
+        }
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
 
 /// Lock `m`, recovering the guard from a poisoned mutex instead of
 /// panicking. The pool's shared state stays structurally valid across a
@@ -250,9 +264,9 @@ impl WorkerPool {
         self.in_flight() == 0
     }
 
-    /// [`parallel_map_with`](crate::parallel_map_with) semantics on the
-    /// persistent pool: map `f` over `items` with work stealing and one
-    /// mutable state per worker, preserving item order in the result.
+    /// Map `f` over `items` with work stealing and one mutable state per
+    /// worker, preserving item order in the result. `f` receives
+    /// `(worker_state, item_index, item)`.
     ///
     /// Uses `min(states.len(), items.len(), workers())` active workers;
     /// with a single active worker (or a single item) the map runs
@@ -318,6 +332,66 @@ impl WorkerPool {
         debug_assert_eq!(pairs.len(), items.len());
         pairs.into_iter().map(|(_, r)| r).collect()
     }
+
+    /// Run `f(&mut states[i], &items[i])` for every pair `i` on pool
+    /// worker `i`, returning results in pair order.
+    ///
+    /// Where [`WorkerPool::map_with`] binds states to workers and lets
+    /// workers steal arbitrary items, this binds state `i` to item `i`
+    /// and nothing else — the scatter primitive of a sharded front-end,
+    /// where replica `i` must serve exactly its own sub-batch. With zero
+    /// or one pairs the call runs on the calling thread and wakes
+    /// nobody. The dispatch hook does not fire here.
+    ///
+    /// # Panics
+    /// Panics if `states` and `items` differ in length or outnumber the
+    /// pool's workers, or if `f` panics on any pair. Every pair still
+    /// runs to completion first, and the first panic's original payload
+    /// is resumed on the calling thread.
+    pub fn zip_map<S, T, R>(
+        &mut self,
+        states: &mut [S],
+        items: &[T],
+        f: impl Fn(&mut S, &T) -> R + Sync,
+    ) -> Vec<R>
+    where
+        S: Send,
+        T: Sync,
+        R: Send,
+    {
+        assert_eq!(
+            states.len(),
+            items.len(),
+            "zip map needs one state per item"
+        );
+        assert!(
+            items.len() <= self.size,
+            "zip map needs one worker per pair"
+        );
+        if items.len() <= 1 {
+            return states.iter_mut().zip(items).map(|(s, t)| f(s, t)).collect();
+        }
+        let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+        let states_ptr = SendPtr(states.as_mut_ptr());
+        let out_ptr = SendPtr(out.as_mut_ptr());
+        let f_ref = &f;
+        let job = move |idx: usize| {
+            // SAFETY: the dispatch runs each idx < items.len() ==
+            // states.len() == out.len() on exactly one pool thread, so
+            // neither &mut aliases.
+            let (state, slot) = unsafe {
+                (
+                    &mut *states_ptr.get().add(idx),
+                    &mut *out_ptr.get().add(idx),
+                )
+            };
+            *slot = Some(f_ref(state, &items[idx]));
+        };
+        self.dispatch(items.len(), &job);
+        // Every slot is `Some`: the dispatch joined all workers and none
+        // panicked (a panic resumes inside `dispatch`).
+        out.into_iter().flatten().collect()
+    }
 }
 
 /// A dispatched-but-not-yet-joined pool job (see
@@ -382,7 +456,7 @@ impl Drop for InFlightJob<'_> {
 }
 
 /// A raw pointer that crosses the dispatch boundary. Disjoint-index
-/// access is guaranteed by the `map_with` job body.
+/// access is guaranteed by the `map_with` and `zip_map` job bodies.
 struct SendPtr<S>(*mut S);
 
 impl<S> SendPtr<S> {
@@ -668,6 +742,85 @@ mod tests {
         let out = pool.map_with(&mut states, &items, |_, _, &x| x);
         assert_eq!(out, items);
         assert_eq!(calls.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn thread_count_positive() {
+        assert!(num_threads() >= 1);
+    }
+
+    #[test]
+    fn zip_map_pairs_statically() {
+        // Each state must see exactly its own item — no stealing.
+        let mut pool = WorkerPool::new(5);
+        let mut states: Vec<Vec<usize>> = vec![Vec::new(); 5];
+        let items: Vec<usize> = (0..5).map(|i| i * 10).collect();
+        let out = pool.zip_map(&mut states, &items, |log, &x| {
+            log.push(x);
+            x + 1
+        });
+        assert_eq!(out, vec![1, 11, 21, 31, 41]);
+        for (i, log) in states.iter().enumerate() {
+            assert_eq!(log, &vec![i * 10], "state {i} served a foreign item");
+        }
+    }
+
+    #[test]
+    fn zip_map_small_inputs_run_on_caller() {
+        let mut pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let mut states = vec![0usize];
+        let out = pool.zip_map(&mut states, &[7usize], |s, &x| {
+            assert_eq!(std::thread::current().id(), caller);
+            *s = x;
+            x
+        });
+        assert_eq!(out, vec![7]);
+        assert_eq!(states[0], 7);
+        let mut none: Vec<usize> = Vec::new();
+        let empty: Vec<usize> = Vec::new();
+        assert!(pool.zip_map(&mut none, &empty, |_, &x| x).is_empty());
+        assert!(pool.handles.is_empty(), "small zips must stay spawn-free");
+    }
+
+    #[test]
+    fn zip_map_panic_reaches_caller_with_its_payload() {
+        let mut pool = WorkerPool::new(3);
+        let ran = AtomicUsize::new(0);
+        let mut states = vec![(); 3];
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.zip_map(&mut states, &[0usize, 1, 2], |_, &x| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if x == 1 {
+                    panic!("boom on pair {x}");
+                }
+                x
+            })
+        }));
+        let payload = caught.expect_err("pair panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("boom on pair 1")
+        );
+        assert_eq!(ran.load(Ordering::SeqCst), 3, "every pair ran first");
+        // The pool survives and serves the next zip.
+        let out = pool.zip_map(&mut states, &[4usize, 5, 6], |_, &x| x);
+        assert_eq!(out, vec![4, 5, 6]);
+    }
+
+    #[test]
+    fn successive_zips_reuse_the_same_threads() {
+        // Per-call scoped threads would show fresh ids on every call.
+        let mut pool = WorkerPool::new(3);
+        let mut states = vec![(); 3];
+        let items = [0usize, 1, 2];
+        let ids = |pool: &mut WorkerPool, states: &mut [()]| {
+            pool.zip_map(states, &items, |_, _| std::thread::current().id())
+        };
+        let first = ids(&mut pool, &mut states);
+        let second = ids(&mut pool, &mut states);
+        assert_eq!(first, second, "pair i must run on pool worker i");
+        assert!(!first.contains(&std::thread::current().id()));
     }
 
     #[test]
