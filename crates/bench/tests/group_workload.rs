@@ -5,11 +5,14 @@
 //! closure between its sequential and parallel branches on that input —
 //! observable only through the
 //! [`SteinerWorkspace::last_closure_workers`] probe, because the two
-//! branches are bit-identical in their output.
+//! branches are bit-identical in their output. The same goes for the
+//! closure's search radius, which only the
+//! [`SteinerWorkspace::last_closure_settled`] work counter can see.
 
 use xsum_bench::experiments::perf::{group_input, GROUP_USERS};
 use xsum_core::{steiner_costs, steiner_tree_with, Scenario, SteinerConfig, SteinerWorkspace};
 use xsum_datasets::{scaling::scaling_graph_scaled, ScalingLevel};
+use xsum_graph::DijkstraWorkspace;
 
 #[test]
 fn group_workload_clears_the_parallel_closure_threshold() {
@@ -77,4 +80,38 @@ fn parallelism_flips_the_closure_gate_bit_identically() {
     let pinned = steiner_tree_with(&ds.kg.graph, &costs, subset, &mut ws);
     assert_eq!(budgeted.sorted_nodes(), pinned.sorted_nodes());
     assert_eq!(budgeted.sorted_edges(), pinned.sorted_edges());
+}
+
+#[test]
+fn bounded_closure_settles_fewer_nodes_than_unbounded_searches() {
+    let ds = scaling_graph_scaled(ScalingLevel::G1, 42, 0.2);
+    let input = group_input(&ds, GROUP_USERS, 42, 3).expect("G1 yields group paths");
+    let g = &ds.kg.graph;
+    let costs = steiner_costs(g, &input, &SteinerConfig::default());
+    let terms = &input.terminals;
+    assert!(terms.len() >= 24, "the group clears the gate");
+
+    // The unbounded closure: one early-exit search per source.
+    let mut dij = DijkstraWorkspace::new();
+    let unbounded: usize = (0..terms.len() - 1)
+        .map(|si| {
+            dij.run(g, &costs, terms[si], &terms[si + 1..]);
+            dij.settled_count()
+        })
+        .sum();
+
+    let mut ws = SteinerWorkspace::new();
+    assert_eq!(ws.last_closure_settled(), 0, "no closure built yet");
+    let mut trees = Vec::new();
+    for parallelism in [1, 4] {
+        ws.set_parallelism(parallelism);
+        trees.push(steiner_tree_with(g, &costs, terms, &mut ws).sorted_edges());
+        let bounded = ws.last_closure_settled();
+        assert!(
+            0 < bounded && bounded < unbounded,
+            "parallelism {parallelism}: the bounded closure settles {bounded} nodes, \
+             the unbounded searches {unbounded}"
+        );
+    }
+    assert_eq!(trees[0], trees[1]);
 }

@@ -3,7 +3,13 @@
 //! The classic Kou–Markowsky–Berman construction the paper's pseudocode
 //! follows line by line:
 //!
-//! 1. Dijkstra from every terminal gives the metric closure over `T`;
+//! 1. Dijkstra from every terminal gives the metric closure over `T`.
+//!    Each search is bounded by the MST cycle property: the search from
+//!    terminal `i` stops at the largest minimax distance from `i` to a
+//!    later terminal, taken in the spanning forest of the pairs already
+//!    priced. A pair beyond that radius is the strict maximum of a cycle
+//!    of priced pairs, so step 2 could never pick it, and skipping it
+//!    leaves the tree bit-identical (see `SteinerWorkspace`'s closure);
 //! 2. Kruskal's MST of that complete terminal graph;
 //! 3. each MST edge is expanded back into its underlying shortest path;
 //! 4. the expanded edge set is cleaned up: re-MST over the induced
@@ -40,7 +46,7 @@ use std::cell::RefCell;
 
 use xsum_graph::{
     kruskal, num_threads, DijkstraWorkspace, EdgeCosts, EdgeId, FxHashMap, FxHashSet, Graph,
-    MstEdge, NodeId, Subgraph, WeightDeltaRec, WorkerPool,
+    MstEdge, NodeId, Subgraph, UnionFind, WeightDeltaRec, WorkerPool,
 };
 
 use crate::input::SummaryInput;
@@ -48,12 +54,12 @@ use crate::summary::Summary;
 use crate::weighting::adjusted_weights;
 
 /// Terminal count from which the metric closure fans its Dijkstras out
-/// across threads. Below this, thread handoff costs more than the |T|
-/// searches; the paper's user-centric k≤10 inputs always stay
-/// sequential while group scenarios with hundreds of terminals
-/// parallelize. The gate always counts **deduplicated** terminals (the
-/// closure runs one Dijkstra per distinct terminal, so duplicates must
-/// not buy a fan-out).
+/// across threads, in waves of one source per worker. Below this,
+/// thread handoff costs more than the |T| searches; the paper's
+/// user-centric k≤10 inputs always stay sequential while group
+/// scenarios with hundreds of terminals parallelize. The gate always
+/// counts **deduplicated** terminals (the closure runs one Dijkstra per
+/// distinct terminal, so duplicates must not buy a fan-out).
 const PARALLEL_TERMINAL_THRESHOLD: usize = 24;
 
 /// Parameters of the ST summarizer.
@@ -480,10 +486,11 @@ pub(crate) fn cached_steiner_costs(
 /// Owns the per-call buffers of the KMB construction — the deduplicated
 /// terminal list, the metric-closure edge list, and a flat edge-id arena
 /// holding every pair's expanded shortest path — plus one
-/// [`DijkstraWorkspace`] per potential worker thread and the
-/// [`WorkerPool`] the parallel metric closure runs on. After the first
-/// call at a given problem size, a summary computes without allocating
-/// anything but its output subgraph.
+/// [`DijkstraWorkspace`] per potential worker thread, the running forest
+/// that bounds the closure's searches, and the [`WorkerPool`] the
+/// parallel metric closure runs on. After the first call at a given
+/// problem size, a summary computes without allocating anything but its
+/// output subgraph.
 #[derive(Debug, Default)]
 pub struct SteinerWorkspace {
     /// Sorted, deduplicated terminal scratch.
@@ -499,9 +506,13 @@ pub struct SteinerWorkspace {
     /// pair, `(cost, bridge edge id)` in a dense upper-triangular T×T
     /// matrix.
     pair_best: Vec<(f64, u32)>,
-    /// One Dijkstra workspace per worker (index 0 doubles as the
-    /// sequential workspace).
-    workers: Vec<DijkstraWorkspace>,
+    /// One closure worker per wave slot (index 0 doubles as the
+    /// sequential worker and as Mehlhorn's Voronoi workspace).
+    workers: Vec<ClosureWorker>,
+    /// Minimum spanning forest of the closure pairs emitted so far.
+    forest: ClosureForest,
+    /// The current wave's `(source index, search radius)` items.
+    wave: Vec<(usize, f64)>,
     /// Thread budget for the metric closure's inner fan-out: 0 = use
     /// [`num_threads`]; 1 = stay sequential (set by outer parallel
     /// regions so worker threads never nest thread pools).
@@ -513,6 +524,119 @@ pub struct SteinerWorkspace {
     /// Worker count the most recent metric closure actually ran with
     /// (1 = sequential); 0 until the first closure builds.
     last_closure_workers: usize,
+    /// Nodes the most recent metric closure's searches settled.
+    last_closure_settled: usize,
+}
+
+/// One slot of a closure wave: a Dijkstra workspace plus the pairs and
+/// paths of the source it last ran, held until the wave merges them.
+#[derive(Debug, Default)]
+struct ClosureWorker {
+    dij: DijkstraWorkspace,
+    /// `(target index, distance, start, len)`, the span indexing `paths`.
+    pairs: Vec<(usize, f64, u32, u32)>,
+    paths: Vec<EdgeId>,
+}
+
+impl ClosureWorker {
+    /// Search from terminal `si` out to `radius` and keep a pair for
+    /// every later terminal the search settled.
+    fn run(&mut self, g: &Graph, costs: &EdgeCosts, terminals: &[NodeId], si: usize, radius: f64) {
+        let targets = &terminals[si + 1..];
+        self.dij
+            .run_bounded(g, costs, terminals[si], targets, radius);
+        self.pairs.clear();
+        self.paths.clear();
+        for (off, &target) in targets.iter().enumerate() {
+            if !self.dij.is_settled(target) {
+                continue;
+            }
+            let d = self.dij.distance(target).expect("settled implies reached");
+            let start = self.paths.len() as u32;
+            if self.dij.append_path_to(g, target, &mut self.paths) {
+                let len = self.paths.len() as u32 - start;
+                self.pairs.push((si + 1 + off, d, start, len));
+            }
+        }
+    }
+}
+
+/// Minimum spanning forest over terminal indices of the closure pairs
+/// emitted so far: the source of each search's radius.
+///
+/// The forest's path between two terminals is a minimax path, so its
+/// heaviest edge is the smallest cost at which the emitted pairs already
+/// connect them. Allocation-free once warm.
+#[derive(Debug, Default)]
+struct ClosureForest {
+    /// Forest edges, sorted by cost (at most |T| − 1).
+    edges: Vec<MstEdge>,
+    /// Kruskal scratch: forest plus newly emitted pairs.
+    candidates: Vec<MstEdge>,
+    uf: UnionFind,
+    /// Per union-find root: how many of its members are later terminals.
+    later: Vec<u32>,
+    /// A NaN pair cost was emitted: minimax comparisons mean nothing
+    /// any more, so every later radius is ∞.
+    poisoned: bool,
+}
+
+impl ClosureForest {
+    fn clear(&mut self) {
+        self.edges.clear();
+        self.poisoned = false;
+    }
+
+    /// Fold newly emitted pairs in: Kruskal over the forest plus `pairs`.
+    fn absorb(&mut self, t: usize, pairs: &[MstEdge]) {
+        if self.poisoned || pairs.is_empty() {
+            return;
+        }
+        if pairs.iter().any(|p| p.cost.is_nan()) {
+            self.poisoned = true;
+            return;
+        }
+        self.candidates.clear();
+        self.candidates.extend_from_slice(&self.edges);
+        self.candidates.extend_from_slice(pairs);
+        self.candidates
+            .sort_unstable_by(|x, y| x.cost.total_cmp(&y.cost));
+        self.uf.reset(t);
+        self.edges.clear();
+        for e in &self.candidates {
+            if self.uf.union(e.a, e.b) {
+                self.edges.push(*e);
+            }
+        }
+    }
+
+    /// Search radius of source `i` among `t` terminals: the largest
+    /// minimax distance from `i` to a later terminal, or ∞ if some later
+    /// terminal is not yet connected to `i`.
+    ///
+    /// Replays the sorted forest through a union-find that counts later
+    /// terminals per component; the edge that completes `i`'s component
+    /// is the answer.
+    fn radius(&mut self, t: usize, i: usize) -> f64 {
+        if self.poisoned {
+            return f64::INFINITY;
+        }
+        let want = (t - 1 - i) as u32;
+        self.uf.reset(t);
+        self.later.clear();
+        self.later.extend((0..t).map(|v| u32::from(v > i)));
+        for e in &self.edges {
+            let (ra, rb) = (self.uf.find(e.a), self.uf.find(e.b));
+            let merged = self.uf.union(ra, rb);
+            debug_assert!(merged, "forest edges never close a cycle");
+            let root = self.uf.find(ra);
+            self.later[root] = self.later[ra] + self.later[rb];
+            if self.uf.find(i) == root && self.later[root] == want {
+                return e.cost;
+            }
+        }
+        f64::INFINITY
+    }
 }
 
 impl SteinerWorkspace {
@@ -540,13 +664,40 @@ impl SteinerWorkspace {
         self.last_closure_workers
     }
 
+    /// How many nodes the most recent metric closure's searches settled,
+    /// summed over its sources (0 before the first closure). A work
+    /// counter that does not depend on the machine: the closure's output
+    /// is bit-identical to unbounded searches, so this is where a lost
+    /// search bound would show.
+    pub fn last_closure_settled(&self) -> usize {
+        self.last_closure_settled
+    }
+
     /// Build the metric closure over `terminals` into `closure` /
-    /// `spans` / `arena`, running the |T| Dijkstras sequentially or
-    /// across worker threads.
+    /// `spans` / `arena`: one early-exit Dijkstra per terminal, each
+    /// bounded by the cycle property.
+    ///
+    /// Sources run in index order, in waves of one source per worker (a
+    /// wave of width 1 is the sequential closure). Before a wave, each of
+    /// its sources `i` gets a radius `r_i`: the largest minimax distance
+    /// from `i` to a later terminal `j`, taken in the minimum spanning
+    /// forest of the pairs emitted by earlier waves, or ∞ while some
+    /// later `j` is not yet connected to `i` (so the first wave runs
+    /// unbounded). The search from `i` stops once the next node to
+    /// settle lies past `r_i`, and only settled targets are emitted.
+    ///
+    /// Every skipped pair has `d(i, j) > r_i ≥ minimax(i, j)`: it is the
+    /// strict maximum of a cycle of emitted pairs, which Kruskal rejects
+    /// under every tie order. Kruskal's tree over the bounded closure is
+    /// therefore bit-identical to the tree over all pairs, and because a
+    /// bounded search is a prefix of the unbounded one, so are the
+    /// emitted pairs' costs and paths. A NaN pair cost makes every later
+    /// radius ∞, since minimax comparisons against NaN mean nothing.
     fn metric_closure(&mut self, g: &Graph, costs: &EdgeCosts) {
         self.closure.clear();
         self.spans.clear();
         self.arena.clear();
+        self.forest.clear();
         let t = self.terminals.len();
 
         let budget = match self.parallelism {
@@ -562,74 +713,56 @@ impl SteinerWorkspace {
             1
         };
         self.last_closure_workers = workers;
+        self.last_closure_settled = 0;
         if self.workers.len() < workers {
-            self.workers.resize_with(workers, DijkstraWorkspace::new);
+            self.workers.resize_with(workers, ClosureWorker::default);
+        }
+        if workers > 1 {
+            g.freeze();
+            if !matches!(&self.pool, Some(pool) if pool.workers() >= workers) {
+                self.pool = Some(WorkerPool::new(workers));
+            }
         }
 
-        if workers == 1 {
-            // Sequential: reuse worker 0 across all |T| sources, writing
-            // paths straight into the shared arena.
-            let ws = &mut self.workers[0];
-            for si in 0..t - 1 {
-                let source = self.terminals[si];
-                let targets = &self.terminals[si + 1..];
-                ws.run(g, costs, source, targets);
-                for (off, &target) in targets.iter().enumerate() {
-                    if let Some(d) = ws.distance(target) {
-                        let start = self.arena.len() as u32;
-                        if !ws.append_path_to(g, target, &mut self.arena) {
-                            continue;
-                        }
-                        self.closure.push(MstEdge {
-                            a: si,
-                            b: si + 1 + off,
-                            cost: d,
-                            payload: self.spans.len(),
-                        });
-                        self.spans.push((start, self.arena.len() as u32 - start));
-                    }
-                }
+        let mut next = 0;
+        while next < t - 1 {
+            let end = (next + workers).min(t - 1);
+            self.wave.clear();
+            for si in next..end {
+                let radius = self.forest.radius(t, si);
+                self.wave.push((si, radius));
             }
-            return;
-        }
+            let terminals = &self.terminals;
+            let slots = &mut self.workers[..self.wave.len()];
+            let run = |w: &mut ClosureWorker, &(si, radius): &(usize, f64)| {
+                w.run(g, costs, terminals, si, radius);
+            };
+            match &mut self.pool {
+                Some(pool) if workers > 1 => {
+                    pool.zip_map(slots, &self.wave, run);
+                }
+                _ => run(&mut slots[0], &self.wave[0]),
+            }
 
-        // Parallel: every source index is an independent task; workers
-        // carry their own DijkstraWorkspace and return (pair, dist,
-        // local path span) batches that merge into the shared arena.
-        g.freeze();
-        let pool = match &mut self.pool {
-            Some(pool) if pool.workers() >= workers => pool,
-            slot => slot.insert(WorkerPool::new(workers)),
-        };
-        let terminals = &self.terminals;
-        let sources: Vec<usize> = (0..t - 1).collect();
-        let per_source = pool.map_with(&mut self.workers[..workers], &sources, |ws, _, &si| {
-            let targets = &terminals[si + 1..];
-            ws.run(g, costs, terminals[si], targets);
-            let mut paths: Vec<EdgeId> = Vec::new();
-            let mut pairs: Vec<(usize, f64, u32, u32)> = Vec::new();
-            for (off, &target) in targets.iter().enumerate() {
-                if let Some(d) = ws.distance(target) {
-                    let start = paths.len() as u32;
-                    if ws.append_path_to(g, target, &mut paths) {
-                        pairs.push((si + 1 + off, d, start, paths.len() as u32 - start));
-                    }
+            // Merge in source order, then fold the new pairs into the
+            // forest that bounds the next wave.
+            let first_new = self.closure.len();
+            for (w, &(si, _)) in self.workers.iter().zip(&self.wave) {
+                self.last_closure_settled += w.dij.settled_count();
+                let base = self.arena.len() as u32;
+                self.arena.extend_from_slice(&w.paths);
+                for &(ti, d, start, len) in &w.pairs {
+                    self.closure.push(MstEdge {
+                        a: si,
+                        b: ti,
+                        cost: d,
+                        payload: self.spans.len(),
+                    });
+                    self.spans.push((base + start, len));
                 }
             }
-            (si, pairs, paths)
-        });
-        for (si, pairs, paths) in per_source {
-            let base = self.arena.len() as u32;
-            self.arena.extend_from_slice(&paths);
-            for (ti, d, start, len) in pairs {
-                self.closure.push(MstEdge {
-                    a: si,
-                    b: ti,
-                    cost: d,
-                    payload: self.spans.len(),
-                });
-                self.spans.push((base + start, len));
-            }
+            self.forest.absorb(t, &self.closure[first_new..]);
+            next = end;
         }
     }
 }
@@ -699,17 +832,26 @@ pub fn steiner_tree_with(
         );
     }
 
-    // 4a. Re-MST over the expanded subgraph to break any cycles formed by
-    //     overlapping shortest paths.
-    let pruned = subgraph_mst(g, costs, &edge_set);
+    // 4. Clean up the expanded edge set.
+    finish_tree(g, costs, &edge_set, &ws.terminals)
+}
 
-    // 4b. Prune non-terminal leaves repeatedly.
-    let term_set: FxHashSet<NodeId> = ws.terminals.iter().copied().collect();
+/// KMB's post-passes over an expanded edge set: (a) re-MST over the
+/// subgraph to break any cycles formed by overlapping shortest paths,
+/// (b) repeated pruning of non-terminal leaves. Unreachable terminals
+/// are still part of the summary statement, so every terminal is added
+/// as a node.
+fn finish_tree(
+    g: &Graph,
+    costs: &EdgeCosts,
+    edge_set: &FxHashSet<EdgeId>,
+    terminals: &[NodeId],
+) -> Subgraph {
+    let pruned = subgraph_mst(g, costs, edge_set);
+    let term_set: FxHashSet<NodeId> = terminals.iter().copied().collect();
     let final_edges = prune_nonterminal_leaves(g, pruned, &term_set);
-
     let mut out = Subgraph::from_edges(g, final_edges);
-    // Unreachable terminals are still part of the summary statement.
-    for t in &ws.terminals {
+    for t in terminals {
         out.insert_node(*t);
     }
     out
@@ -768,9 +910,9 @@ pub fn steiner_tree_fast_with(
 
     // 1. One multi-source Dijkstra: Voronoi cells around the terminals.
     if ws.workers.is_empty() {
-        ws.workers.push(DijkstraWorkspace::new());
+        ws.workers.push(ClosureWorker::default());
     }
-    let dij = &mut ws.workers[0];
+    let dij = &mut ws.workers[0].dij;
     dij.run_voronoi(g, costs, &ws.terminals);
 
     // 2. Candidate inter-cell connections: every edge whose endpoints
@@ -829,15 +971,7 @@ pub fn steiner_tree_fast_with(
     }
 
     // 4. Same KMB post-passes: re-MST, then prune non-terminal leaves.
-    let pruned = subgraph_mst(g, costs, &edge_set);
-    let term_set: FxHashSet<NodeId> = ws.terminals.iter().copied().collect();
-    let final_edges = prune_nonterminal_leaves(g, pruned, &term_set);
-
-    let mut out = Subgraph::from_edges(g, final_edges);
-    for t in &ws.terminals {
-        out.insert_node(*t);
-    }
-    out
+    finish_tree(g, costs, &edge_set, &ws.terminals)
 }
 
 /// Kruskal restricted to `edges`, returning a spanning forest of the
@@ -1291,6 +1425,162 @@ mod tests {
         }
         let pool = ws.pool.as_ref().expect("the fan-out keeps its pool");
         assert_eq!(pool.workers(), 4);
+    }
+
+    /// One closure tree edge: terminal indices, cost bits, expanded path.
+    type TreeEdge = (usize, usize, u64, Vec<EdgeId>);
+
+    /// The unbounded closure every bounded one must reproduce: one full
+    /// early-exit `run` per source, a pair for every reached later
+    /// terminal, Kruskal over all of them, then the KMB post-passes.
+    fn unbounded_reference(
+        g: &Graph,
+        costs: &EdgeCosts,
+        terminals: &[NodeId],
+    ) -> (Vec<TreeEdge>, Subgraph) {
+        let mut terms = terminals.to_vec();
+        terms.sort_unstable();
+        terms.dedup();
+        let mut dij = DijkstraWorkspace::new();
+        let (mut pairs, mut paths) = (Vec::new(), Vec::new());
+        for si in 0..terms.len().saturating_sub(1) {
+            dij.run(g, costs, terms[si], &terms[si + 1..]);
+            for (ti, &target) in terms.iter().enumerate().skip(si + 1) {
+                if let (Some(d), Some(path)) = (dij.distance(target), dij.path_to(g, target)) {
+                    pairs.push(MstEdge {
+                        a: si,
+                        b: ti,
+                        cost: d,
+                        payload: paths.len(),
+                    });
+                    paths.push(path);
+                }
+            }
+        }
+        let tree: Vec<TreeEdge> = kruskal(terms.len(), &pairs)
+            .into_iter()
+            .map(|e| (e.a, e.b, e.cost.to_bits(), paths[e.payload].clone()))
+            .collect();
+        let edge_set: FxHashSet<EdgeId> = tree.iter().flat_map(|e| e.3.clone()).collect();
+        let sub = match terms.len() {
+            0 => Subgraph::new(),
+            _ => finish_tree(g, costs, &edge_set, &terms),
+        };
+        (tree, sub)
+    }
+
+    /// The bounded closure's Kruskal tree, read off the workspace after
+    /// [`steiner_tree_with`] built it.
+    fn bounded_tree(ws: &SteinerWorkspace) -> Vec<TreeEdge> {
+        kruskal(ws.terminals.len(), &ws.closure)
+            .into_iter()
+            .map(|e| {
+                let (start, len) = ws.spans[e.payload];
+                let path = ws.arena[start as usize..(start + len) as usize].to_vec();
+                (e.a, e.b, e.cost.to_bits(), path)
+            })
+            .collect()
+    }
+
+    /// Random graph on `n` nodes with costs on a coarse grid that
+    /// includes 0 (ties and zero-cost edges everywhere), sparse enough
+    /// that some terminals are disconnected, plus raw terminal picks.
+    fn arb_closure_case() -> impl proptest::Strategy<Value = (Graph, EdgeCosts, Vec<NodeId>)> {
+        use proptest::prelude::*;
+        (2usize..48).prop_flat_map(|n| {
+            (
+                proptest::collection::vec((0..n, 0..n, 0u8..5), 0..3 * n),
+                proptest::collection::vec(0..n, 2..40),
+            )
+                .prop_map(move |(edges, picks)| {
+                    let mut g = Graph::new();
+                    for _ in 0..n {
+                        g.add_node(NodeKind::Entity);
+                    }
+                    let mut costs = Vec::new();
+                    for &(a, b, c) in edges.iter().filter(|(a, b, _)| a != b) {
+                        g.add_edge(NodeId(a as u32), NodeId(b as u32), 1.0, EdgeKind::Attribute);
+                        costs.push(f64::from(c) * 0.5);
+                    }
+                    let terminals = picks.into_iter().map(|p| NodeId(p as u32)).collect();
+                    (g, EdgeCosts(costs), terminals)
+                })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn bounded_closure_matches_unbounded((g, costs, terminals) in arb_closure_case()) {
+            let (want_tree, want_sub) = unbounded_reference(&g, &costs, &terminals);
+            for parallelism in [1, 4] {
+                let mut ws = SteinerWorkspace::new();
+                ws.set_parallelism(parallelism);
+                // Twice through one workspace: a warm forest must not
+                // leak into the next closure.
+                for _ in 0..2 {
+                    let sub = steiner_tree_with(&g, &costs, &terminals, &mut ws);
+                    proptest::prop_assert_eq!(&bounded_tree(&ws), &want_tree);
+                    proptest::prop_assert_eq!(sub.sorted_edges(), want_sub.sorted_edges());
+                    proptest::prop_assert_eq!(sub.sorted_nodes(), want_sub.sorted_nodes());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closure_forest_radius_is_the_largest_minimax_distance() {
+        let pair = |a, b, cost| MstEdge {
+            a,
+            b,
+            cost,
+            payload: 0,
+        };
+        let mut forest = ClosureForest::default();
+        assert_eq!(forest.radius(4, 0), f64::INFINITY, "nothing connected yet");
+        forest.absorb(4, &[pair(0, 1, 1.0), pair(0, 2, 3.0), pair(0, 3, 2.0)]);
+        assert_eq!(forest.radius(4, 1), 3.0);
+        assert_eq!(forest.radius(4, 2), 3.0, "2 reaches 3 only through 0");
+        // A cheaper pair replaces the forest's heaviest edge.
+        forest.absorb(4, &[pair(1, 2, 0.5)]);
+        assert_eq!(forest.edges.len(), 3);
+        assert_eq!(forest.radius(4, 2), 2.0, "2–1–0–3 now peaks at 2");
+        assert_eq!(forest.radius(4, 1), 2.0);
+        // A NaN pair cost makes every later radius unbounded.
+        forest.absorb(4, &[pair(2, 3, f64::NAN)]);
+        assert_eq!(forest.radius(4, 2), f64::INFINITY);
+        forest.clear();
+        forest.absorb(4, &[pair(2, 3, 1.0)]);
+        assert_eq!(forest.radius(4, 2), 1.0, "clear lifts the NaN latch");
+    }
+
+    #[test]
+    fn nan_weights_keep_the_unbounded_closure() {
+        // NaN weights (as weight deltas may write them) reach the closure
+        // through the Eq. 1 transform; the bounded closure must match the
+        // unbounded reference on them, at both parallelism settings.
+        let mut g = Graph::new();
+        let items: Vec<NodeId> = (0..30).map(|_| g.add_node(NodeKind::Item)).collect();
+        let hubs: Vec<NodeId> = (0..4).map(|_| g.add_node(NodeKind::Entity)).collect();
+        for (i, &it) in items.iter().enumerate() {
+            let w = if i % 7 == 3 { f64::NAN } else { (i % 5) as f64 };
+            g.add_edge(it, hubs[i % 4], w, EdgeKind::Attribute);
+            g.add_edge(it, items[(i + 1) % 30], 1.0, EdgeKind::Attribute);
+        }
+        let path = xsum_graph::LoosePath::ground(&g, vec![items[0], hubs[0], items[4]]);
+        let mut input = SummaryInput::user_centric(items[0], vec![path]);
+        input.terminals = items.clone();
+        let costs = steiner_costs(&g, &input, &SteinerConfig::default());
+        let (want_tree, want_sub) = unbounded_reference(&g, &costs, &items);
+        for parallelism in [1, 4] {
+            let mut ws = SteinerWorkspace::new();
+            ws.set_parallelism(parallelism);
+            let sub = steiner_tree_with(&g, &costs, &items, &mut ws);
+            assert_eq!(bounded_tree(&ws), want_tree);
+            assert_eq!(sub.sorted_edges(), want_sub.sorted_edges());
+            assert!(ws.last_closure_settled() > 0);
+        }
     }
 
     #[test]

@@ -17,8 +17,23 @@
 //!   O(1) stamp check instead of an O(|T|) scan per settled node, and
 //!   duplicate targets are counted once without the legacy per-call
 //!   sort/dedup allocation.
+//! * [`DijkstraWorkspace::run_bounded`] — `run` with a search radius:
+//!   the run also stops once the next node to settle lies farther than
+//!   the radius. Up to that cut it settles exactly what `run` settles, in
+//!   the same order, with the same distances and parents, so it is `run`
+//!   truncated, not an approximation. KMB's metric closure uses it to
+//!   skip the terminal pairs Kruskal can never pick (see
+//!   `xsum_core::steiner`); `run` is `run_bounded` with an infinite
+//!   radius.
 //! * [`dijkstra`] — the allocating convenience wrapper returning an owned
 //!   [`DijkstraResult`]; it drives a fresh workspace internally.
+//!
+//! After an early exit (all targets settled, or the radius reached) the
+//! nodes on the frontier — discovered but not settled — still report
+//! their tentative distance, an upper bound on the true one.
+//! [`DijkstraWorkspace::is_settled`] tells the two apart, and
+//! [`DijkstraWorkspace::settled_count`] reports how many nodes the run
+//! settled, a work counter that does not depend on the machine.
 //!
 //! ## Heap and relaxation design
 //!
@@ -51,7 +66,10 @@ use crate::ids::{EdgeId, NodeId};
 pub struct DijkstraResult {
     /// Source node of the run.
     pub source: NodeId,
-    /// `dist[v]` = cost of the cheapest path source→v (∞ if unreached).
+    /// `dist[v]` = cost of the cheapest path source→v for every node the
+    /// run settled (∞ if unreached). After an early exit, a node that was
+    /// discovered but not settled holds a tentative upper bound instead:
+    /// the cheapest path found so far, which may not be the cheapest one.
     pub dist: Vec<f64>,
     /// Edge through which each node was settled (`None` for source/unreached).
     pub parent_edge: Vec<Option<EdgeId>>,
@@ -112,6 +130,8 @@ pub struct DijkstraWorkspace {
     origin: Vec<u32>,
     /// Current run's generation (stamps from other runs never match).
     generation: u32,
+    /// Nodes the most recent run settled.
+    settled_count: usize,
     /// Reused indexed 4-ary priority queue (decrease-key, so it holds
     /// at most one slot per open node).
     heap: IndexedDaryHeap,
@@ -128,6 +148,7 @@ impl Default for DijkstraWorkspace {
             target: Vec::new(),
             origin: Vec::new(),
             generation: 0,
+            settled_count: 0,
             heap: IndexedDaryHeap::new(),
         }
     }
@@ -179,6 +200,27 @@ impl DijkstraWorkspace {
     /// Panics (debug) if any edge cost is negative — the §IV-A transform
     /// guarantees positivity.
     pub fn run(&mut self, g: &Graph, costs: &EdgeCosts, source: NodeId, targets: &[NodeId]) {
+        self.run_bounded(g, costs, source, targets, f64::INFINITY);
+    }
+
+    /// [`DijkstraWorkspace::run`] that also stops once the next node to
+    /// settle lies farther than `radius` from `source`.
+    ///
+    /// The nodes it settles are exactly the prefix of `run`'s settle
+    /// order whose distance is at most `radius`, with the same distance
+    /// and parent bits; every node it leaves unsettled is farther than
+    /// `radius`. An infinite radius is `run`.
+    ///
+    /// # Panics
+    /// Panics (debug) if any edge cost is negative.
+    pub fn run_bounded(
+        &mut self,
+        g: &Graph,
+        costs: &EdgeCosts,
+        source: NodeId,
+        targets: &[NodeId],
+        radius: f64,
+    ) {
         debug_assert_eq!(
             costs.len(),
             g.edge_count(),
@@ -214,11 +256,17 @@ impl DijkstraWorkspace {
         let csr = g.csr_view();
         let cost_of = costs.as_slice();
         // With decrease-key every pop settles a fresh node — there are
-        // no stale entries to skip.
+        // no stale entries to skip. Pop keys never decrease, so the first
+        // key past the radius ends the run.
+        let mut settled = 0;
         while let Some((cost, _, node)) = self.heap.pop() {
+            if cost > radius {
+                break;
+            }
             let node = NodeId(node);
             debug_assert_ne!(self.settled[node.index()], generation);
             self.settled[node.index()] = generation;
+            settled += 1;
             if self.target[node.index()] == generation {
                 // Un-mark so the countdown stays exact even if targets
                 // were stamped under a recycled generation.
@@ -248,6 +296,7 @@ impl DijkstraWorkspace {
                 }
             }
         }
+        self.settled_count = settled;
     }
 
     /// Multi-source Dijkstra: grow all of `sources` simultaneously,
@@ -296,10 +345,12 @@ impl DijkstraWorkspace {
         // exhaustion.
         let csr = g.csr_view();
         let cost_of = costs.as_slice();
+        let mut settled = 0;
         while let Some((cost, _, node)) = self.heap.pop() {
             let node = NodeId(node);
             debug_assert_ne!(self.settled[node.index()], generation);
             self.settled[node.index()] = generation;
+            settled += 1;
             let node_origin = self.origin[node.index()];
             for &(next, e) in csr.row(node) {
                 let ni = next.index();
@@ -323,6 +374,7 @@ impl DijkstraWorkspace {
                 }
             }
         }
+        self.settled_count = settled;
     }
 
     /// After [`DijkstraWorkspace::run_voronoi`]: index (into the run's
@@ -376,15 +428,36 @@ impl DijkstraWorkspace {
         self.stamp.get(v.index()) == Some(&self.generation)
     }
 
+    /// Whether the most recent run settled `v` (total, like
+    /// [`DijkstraWorkspace::distance`]). A settled node's distance and
+    /// path are final; a node that was only discovered before an early
+    /// exit is reached but not settled.
+    #[inline]
+    pub fn is_settled(&self, v: NodeId) -> bool {
+        self.settled.get(v.index()) == Some(&self.generation)
+    }
+
+    /// How many nodes the most recent run settled (0 before any run).
+    #[inline]
+    pub fn settled_count(&self) -> usize {
+        self.settled_count
+    }
+
     /// Distance to `t` from the last run's source, or `None` if
     /// unreached (or not yet discovered when the run exited early).
+    ///
+    /// Exact for a settled `t` (see [`DijkstraWorkspace::is_settled`]).
+    /// After an early exit, a `t` on the frontier — discovered but not
+    /// settled — reports its tentative distance, an upper bound on the
+    /// true one.
     #[inline]
     pub fn distance(&self, t: NodeId) -> Option<f64> {
         self.reached(t).then(|| self.dist[t.index()])
     }
 
     /// Reconstruct the edge sequence of the shortest path source→t, or
-    /// `None` if `t` was not reached.
+    /// `None` if `t` was not reached (the same frontier caveat as
+    /// [`DijkstraWorkspace::append_path_to`]).
     pub fn path_to(&self, g: &Graph, t: NodeId) -> Option<Vec<EdgeId>> {
         let mut out = Vec::new();
         self.append_path_to(g, t, &mut out).then_some(out)
@@ -393,6 +466,10 @@ impl DijkstraWorkspace {
     /// Append the source→t path's edges to `out` in walk order
     /// (allocation-free when `out` has capacity). Returns `false` —
     /// leaving `out` untouched — if `t` was not reached.
+    ///
+    /// The path is a shortest one for a settled `t`. For a frontier node
+    /// left unsettled by an early exit it is the path behind the
+    /// tentative [`DijkstraWorkspace::distance`], which may be longer.
     pub fn append_path_to(&self, g: &Graph, t: NodeId, out: &mut Vec<EdgeId>) -> bool {
         if !self.reached(t) {
             return false;
@@ -416,7 +493,9 @@ impl DijkstraWorkspace {
     }
 
     /// Copy the last run out into an owned [`DijkstraResult`] (allocates;
-    /// for callers that outlive the workspace).
+    /// for callers that outlive the workspace). Every reached node is
+    /// copied, so after an early exit the frontier's tentative distances
+    /// come along (see [`DijkstraResult::dist`]).
     pub fn to_result(&self, n: usize) -> DijkstraResult {
         let mut dist = vec![f64::INFINITY; n];
         let mut parent_edge: Vec<Option<EdgeId>> = vec![None; n];
@@ -767,6 +846,50 @@ mod tests {
         let mut buf2 = vec![EdgeId(7)];
         assert!(!ws.append_path_to(&h, b, &mut buf2));
         assert_eq!(buf2, vec![EdgeId(7)]);
+    }
+
+    #[test]
+    fn early_exit_leaves_frontier_distances_tentative() {
+        // s–a 1, s–b 5, a–b 1: the run stops at a, before b settles at 2.
+        let mut g = Graph::new();
+        let s = g.add_node(NodeKind::User);
+        let a = g.add_node(NodeKind::Item);
+        let b = g.add_node(NodeKind::Item);
+        g.add_edge(s, a, 1.0, EdgeKind::Interaction);
+        g.add_edge(s, b, 5.0, EdgeKind::Interaction);
+        g.add_edge(a, b, 1.0, EdgeKind::Attribute);
+        let costs = EdgeCosts(vec![1.0, 5.0, 1.0]);
+        assert_eq!(dijkstra(&g, &costs, s, &[a]).distance(b), Some(5.0));
+        assert_eq!(dijkstra(&g, &costs, s, &[]).distance(b), Some(2.0));
+        let mut ws = DijkstraWorkspace::new();
+        ws.run(&g, &costs, s, &[a]);
+        assert!(ws.is_settled(a) && !ws.is_settled(b));
+        assert_eq!(ws.distance(b), Some(5.0), "frontier: tentative bound");
+        assert_eq!(ws.settled_count(), 2);
+        ws.run(&g, &costs, s, &[]);
+        assert!(ws.is_settled(b));
+        assert_eq!((ws.distance(b), ws.settled_count()), (Some(2.0), 3));
+    }
+
+    #[test]
+    fn bounded_run_stops_past_the_radius() {
+        // Line u - i1 - a - i2 at unit cost: radius 1.5 settles u and i1
+        // only, and a is left on the frontier.
+        let (g, ids) = line();
+        let costs = EdgeCosts::uniform(&g, 1.0);
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_bounded(&g, &costs, ids[0], &[ids[3]], 1.5);
+        assert_eq!(ws.settled_count(), 2);
+        assert!(ws.is_settled(ids[1]) && !ws.is_settled(ids[2]));
+        assert_eq!(ws.distance(ids[2]), Some(2.0));
+        assert_eq!(ws.distance(ids[3]), None);
+        // A radius equal to a distance still settles that node.
+        ws.run_bounded(&g, &costs, ids[0], &[ids[3]], 2.0);
+        assert!(ws.is_settled(ids[2]) && !ws.is_settled(ids[3]));
+        // An infinite radius is `run`.
+        ws.run_bounded(&g, &costs, ids[0], &[ids[3]], f64::INFINITY);
+        assert_eq!((ws.settled_count(), ws.distance(ids[3])), (4, Some(3.0)));
+        assert!(!ws.is_settled(NodeId(99)), "total on out-of-range ids");
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! fork–join shapes over borrowed caller state:
 //!
 //! * [`WorkerPool::map_with`] — an indexed map with work stealing and
-//!   one mutable state per worker (engine batches, the metric
-//!   closure's per-source Dijkstras);
+//!   one mutable state per worker (engine batches);
 //! * [`WorkerPool::zip_map`] — a statically paired map, state *i* with
-//!   item *i* on worker *i* (the sharded front-end's scatter).
+//!   item *i* on worker *i* (the sharded front-end's scatter, and each
+//!   wave of the metric closure's per-source Dijkstras).
 //!
 //! Each call wakes the parked threads with one condvar broadcast and
 //! parks them again, so steady-state dispatch never spawns a thread.

@@ -4,8 +4,8 @@
 //! (Algorithm 1) and by the prize-collecting growth of Algorithm 2, which
 //! the paper specifies directly in terms of `make_set` / `find` / `union`.
 
-/// Disjoint-set forest over `0..n`.
-#[derive(Debug, Clone)]
+/// Disjoint-set forest over `0..n` (the default is the empty one).
+#[derive(Debug, Clone, Default)]
 pub struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
@@ -20,6 +20,15 @@ impl UnionFind {
             rank: vec![0; n],
             components: n,
         }
+    }
+
+    /// Reset to `n` singleton sets, reusing the allocation.
+    pub fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        self.components = n;
     }
 
     /// Number of elements.
@@ -101,6 +110,16 @@ mod tests {
         }
         assert_eq!(uf.component_count(), 1);
         assert!(uf.connected(0, 99));
+    }
+
+    #[test]
+    fn reset_restores_singletons() {
+        let mut uf = UnionFind::new(3);
+        uf.union(0, 1);
+        uf.reset(4);
+        assert_eq!((uf.len(), uf.component_count()), (4, 4));
+        assert!(!uf.connected(0, 1));
+        assert!(uf.union(3, 0));
     }
 
     #[test]

@@ -358,3 +358,44 @@ proptest! {
         prop_assert_eq!(prim(&g, &costs, root), legacy_prim(&g, &costs, root));
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `run_bounded(r)` is `run` cut at `r`: at every radius it settles
+    /// exactly the nodes `run` settles with a key of at most `r` — the
+    /// prefix of `run`'s settle order, since pop keys never decrease —
+    /// with the same distance and parent bits.
+    #[test]
+    fn bounded_run_is_the_prefix_of_run((g, picks, src) in arb_case(), shift in 0usize..2) {
+        // Shifting the 0.5-step grid down by one step adds zero-cost edges.
+        let costs = EdgeCosts(g.edge_ids().map(|e| g.weight(e) - 0.5 * shift as f64).collect());
+        let source = NodeId(src as u32);
+        let targets: Vec<NodeId> = picks.iter().map(|&p| NodeId(p as u32)).collect();
+        let mut full = DijkstraWorkspace::new();
+        full.run(&g, &costs, source, &targets);
+        let full_parents = full.to_result(g.node_count()).parent_edge;
+        let mut radii = vec![-1.0, f64::INFINITY];
+        for v in g.node_ids().filter(|&v| full.is_settled(v)) {
+            let d = full.distance(v).expect("settled implies reached");
+            radii.extend([d, d - 0.25]);
+        }
+        let mut bounded = DijkstraWorkspace::new();
+        for radius in radii {
+            bounded.run_bounded(&g, &costs, source, &targets, radius);
+            let parents = bounded.to_result(g.node_count()).parent_edge;
+            let mut kept = 0;
+            for v in g.node_ids() {
+                let d = full.distance(v);
+                let keep = full.is_settled(v) && d.is_some_and(|d| d <= radius);
+                prop_assert_eq!(bounded.is_settled(v), keep, "node {} at radius {}", v.index(), radius);
+                if keep {
+                    kept += 1;
+                    prop_assert_eq!(bounded.distance(v).map(f64::to_bits), d.map(f64::to_bits));
+                    prop_assert_eq!(parents[v.index()], full_parents[v.index()]);
+                }
+            }
+            prop_assert_eq!(bounded.settled_count(), kept);
+        }
+    }
+}

@@ -4,7 +4,10 @@
 //! ST runs |T| Dijkstra searches over the whole graph (`O(|T|(|E| +
 //! |V| log |V|))`), so it degrades with both axes; PCST grows only the
 //! explanation paths' own neighbourhood and stays nearly flat — the
-//! paper's argument for using PCST on large groups.
+//! paper's argument for using PCST on large groups. Each ST search
+//! stops at a radius past which no pair can enter the MST, which trims
+//! the constant but not the bound: the first search still runs to its
+//! last terminal.
 //!
 //! ```text
 //! cargo run --release --example scalability
