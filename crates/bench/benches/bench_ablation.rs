@@ -1,13 +1,11 @@
-//! Ablation micro-benchmarks: prize policies, incremental vs batch ST,
-//! and the GW solver.
+//! Ablation micro-benchmarks: PCST prize policies and one-shot ST.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use xsum_bench::ctx::{Baseline, Ctx, CtxConfig};
 use xsum_bench::experiments::user_centric_inputs;
 use xsum_core::{
-    incremental_series, pcst_summary_with_policy, steiner_summary, PcstConfig, PrizePolicy,
-    SteinerConfig,
+    pcst_summary_with_policy, steiner_summary, PcstConfig, PrizePolicy, SteinerConfig,
 };
 
 fn bench(c: &mut Criterion) {
@@ -20,13 +18,6 @@ fn bench(c: &mut Criterion) {
     let g = &ctx.ds.kg.graph;
     let inputs = user_centric_inputs(&ctx, Baseline::Pgpr, 10);
     let input = inputs.first().expect("one input").clone();
-    let focus = *input.terminals.first().expect("terminals");
-    let items: Vec<_> = input
-        .terminals
-        .iter()
-        .copied()
-        .filter(|t| *t != focus)
-        .collect();
 
     let mut group = c.benchmark_group("ablation");
     group.sample_size(20);
@@ -55,13 +46,6 @@ fn bench(c: &mut Criterion) {
         b.iter_batched(
             || input.clone(),
             |i| steiner_summary(g, &i, &SteinerConfig::default()),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("st_incremental_series_k10", |b| {
-        b.iter_batched(
-            || input.clone(),
-            |i| incremental_series(g, &i, &SteinerConfig::default(), focus, &items),
             BatchSize::SmallInput,
         )
     });

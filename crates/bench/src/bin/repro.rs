@@ -24,9 +24,8 @@
 //! counts — into `BENCH_batch.json`, leaving every other key as
 //! `bench_batch` wrote it. `bench_mutation` measures the delta-aware
 //! mutation pipeline — O(|touched|) ledger patching vs a rebuild-from-
-//! scratch oracle, session survival under an anchor-safe 1% delta, and
-//! serving throughput with a live non-barrier weight-update stream —
-//! and *merges* its `mutation_*` / `session_survival_fraction` /
+//! scratch oracle, and serving throughput with a live non-barrier
+//! weight-update stream — and *merges* its `mutation_*` /
 //! `admission_live_*` keys the same way. `lint` runs the repo-invariant lint engine
 //! (same scan as `cargo run --bin xlint`; non-zero exit on findings),
 //! and `modelcheck` — in a `RUSTFLAGS="--cfg xsum_loom"` build — runs
@@ -214,18 +213,16 @@ fn merge_modelcheck_keys(path: &str, entries: &[(&str, usize, f64)]) {
 
 /// Merge the delta-mutation-pipeline keys of `report` into the flat
 /// JSON object at `path`, with the same pass-through discipline as
-/// [`merge_traffic_keys`]: stale `mutation_*` / `session_survival*` /
-/// `admission_live_*` lines are replaced, every other pre-existing
-/// line stays byte-identical.
+/// [`merge_traffic_keys`]: stale `mutation_*` / `admission_live_*`
+/// lines are replaced, every other pre-existing line stays
+/// byte-identical.
 fn merge_mutation_keys(path: &str, report: &xsum_bench::experiments::perf::MutationReport) {
     let base = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
     let mut lines: Vec<String> = base
         .lines()
         .filter(|l| {
             let t = l.trim();
-            let stale = t.starts_with("\"mutation_")
-                || t.starts_with("\"session_survival")
-                || t.starts_with("\"admission_live_");
+            let stale = t.starts_with("\"mutation_") || t.starts_with("\"admission_live_");
             !stale && !t.is_empty() && t != "}"
         })
         .map(str::to_string)
@@ -241,12 +238,11 @@ fn merge_mutation_keys(path: &str, report: &xsum_bench::experiments::perf::Mutat
     }
     lines.push(format!(
         "  \"mutation_full_rebuild_ms\": {:.4},\n  \"mutation_delta_patch_ms\": {:.4},\n  \
-         \"mutation_delta_speedup\": {:.2},\n  \"session_survival_fraction\": {:.4},\n  \
+         \"mutation_delta_speedup\": {:.2},\n  \
          \"admission_live_update_summaries_per_sec\": {:.1}",
         report.full_rebuild_ms,
         report.delta_patch_ms,
         report.speedup,
-        report.session_survival_fraction,
         report.live_update_summaries_per_sec,
     ));
     lines.push("}".to_string());
@@ -617,12 +613,10 @@ fn main() {
         }
         "bench_mutation" => {
             // Delta-aware mutation pipeline: O(|touched|) ledger patch
-            // vs rebuild-from-scratch, session survival under an
-            // anchor-safe 1% delta, and serving throughput with a live
+            // vs rebuild-from-scratch, and serving throughput with a live
             // non-barrier weight-update stream; merges `mutation_*` /
-            // `session_survival_fraction` / `admission_live_*` keys into
-            // BENCH_batch.json (all pre-existing keys pass through
-            // byte-identical).
+            // `admission_live_*` keys into BENCH_batch.json (all
+            // pre-existing keys pass through byte-identical).
             let (rows, report) = perf::mutation_bench(
                 xsum_datasets::ScalingLevel::G5,
                 args.scale,
@@ -634,17 +628,15 @@ fn main() {
             merge_mutation_keys("BENCH_batch.json", &report);
             eprintln!(
                 "bench_mutation: {} edges, {}-edge deltas — rebuild {:.3} ms vs ledger patch \
-                 {:.3} ms ({:.1}x, {} cache patches); {:.1}% of sessions survived a 1% delta; \
-                 {:.0} summaries/s with a live update stream ({} edge updates applied); merged \
-                 mutation_* / session_survival_fraction / admission_live_* keys into \
-                 BENCH_batch.json",
+                 {:.3} ms ({:.1}x, {} cache patches); {:.0} summaries/s with a live update \
+                 stream ({} edge updates applied); merged mutation_* / admission_live_* keys \
+                 into BENCH_batch.json",
                 report.edges,
                 report.delta_edges,
                 report.full_rebuild_ms,
                 report.delta_patch_ms,
                 report.speedup,
                 report.cache_patches,
-                report.session_survival_fraction * 100.0,
                 report.live_update_summaries_per_sec,
                 report.live_updates_applied,
             );

@@ -866,10 +866,9 @@ pub fn shard_bench(
 
 /// Repair-cost report of the delta-aware mutation pipeline: what one
 /// weight-only delta costs to absorb via the O(|touched|) ledger path
-/// vs a rebuild-from-scratch stack, plus session survival under the
-/// same delta and serving throughput while a live update stream flows
-/// through the admission queue's non-barrier path
-/// ([`mutation_bench`]).
+/// vs a rebuild-from-scratch stack, plus serving throughput while a
+/// live update stream flows through the admission queue's non-barrier
+/// path ([`mutation_bench`]).
 #[derive(Debug, Clone)]
 pub struct MutationReport {
     /// Edges in the bench graph.
@@ -893,9 +892,6 @@ pub struct MutationReport {
     /// equal to the round count (proof the O(|touched|) path actually
     /// served every round).
     pub cache_patches: u64,
-    /// Fraction of live sessions that survived an anchor-safe 1% delta
-    /// (read-set disjoint from the touched edges).
-    pub session_survival_fraction: f64,
     /// Summaries served per second while every 4th submission rode
     /// with a coalesced non-barrier weight update.
     pub live_update_summaries_per_sec: f64,
@@ -939,7 +935,7 @@ fn anchor_safe_delta(
 }
 
 /// `repro bench_mutation`: measure the mutation-repair pipeline on the
-/// [`batch_inputs`] workload at `level`. Three experiments:
+/// [`batch_inputs`] workload at `level`. Two experiments:
 ///
 /// 1. **Patch vs rebuild.** Each round applies one anchor-safe ≤1%
 ///    weight delta to both arms' graph clones and repairs the resident
@@ -953,11 +949,7 @@ fn anchor_safe_delta(
 ///
 ///    [`CostModelCache`]: xsum_core::CostModelCache
 ///    [`SteinerCostModel`]: xsum_core::SteinerCostModel
-/// 2. **Session survival.** One live ST session per workload input,
-///    then one anchor-safe 1% delta: the fraction whose read-set
-///    fingerprints prove them delta-disjoint survive with patched
-///    costs; the rest rebuild.
-/// 3. **Live-update serving.** The closed-loop admission workload with
+/// 2. **Live-update serving.** The closed-loop admission workload with
 ///    every 4th submission riding alongside a coalesced non-barrier
 ///    `submit_weight_update`; reports served summaries/sec with the
 ///    update stream flowing.
@@ -1056,22 +1048,7 @@ pub fn mutation_bench(
     let delta_patch_ms = trimmed_mean(&mut patch_times) * 1e3;
     let full_rebuild_ms = trimmed_mean(&mut rebuild_times) * 1e3;
 
-    // Arm 2: session survival under one anchor-safe 1% delta.
-    let mut g_sess = g.clone();
-    let mut store = xsum_core::SessionStore::new(inputs.len().max(1));
-    for (i, input) in inputs.iter().enumerate() {
-        let key = xsum_core::SessionKey::new(i as u64, "bench");
-        std::hint::black_box(store.steiner_session(&g_sess, key, input, &cfg).summary());
-    }
-    g_sess.apply_delta(&anchor_safe_delta(g, base_max, delta_edges, 1));
-    for (i, input) in inputs.iter().enumerate() {
-        let key = xsum_core::SessionKey::new(i as u64, "bench");
-        std::hint::black_box(store.steiner_session(&g_sess, key, input, &cfg));
-    }
-    let judged = (store.survived_delta() + store.invalidated_delta()).max(1);
-    let session_survival_fraction = store.survived_delta() as f64 / judged as f64;
-
-    // Arm 3: serving throughput with a live non-barrier update stream.
+    // Arm 2: serving throughput with a live non-barrier update stream.
     let queue = AdmissionQueue::for_engine(
         g.clone(),
         SummaryEngine::new(),
@@ -1116,7 +1093,6 @@ pub fn mutation_bench(
         delta_patch_ms,
         speedup: full_rebuild_ms / delta_patch_ms.max(1e-12),
         cache_patches,
-        session_survival_fraction,
         live_update_summaries_per_sec,
         live_updates_applied,
     };
@@ -1125,10 +1101,6 @@ pub fn mutation_bench(
         ("mutation_full_rebuild_ms", report.full_rebuild_ms),
         ("mutation_delta_patch_ms", report.delta_patch_ms),
         ("mutation_delta_speedup", report.speedup),
-        (
-            "session_survival_fraction",
-            report.session_survival_fraction,
-        ),
         (
             "admission_live_update_summaries_per_sec",
             report.live_update_summaries_per_sec,

@@ -16,19 +16,16 @@
 //!   allocator for search state;
 //! * a [`CostModelCache`] keyed by (graph epoch, config), shared by the
 //!   batched and single-summary paths, so switching λ or serving an
-//!   updated graph rebuilds the O(|E|) base table exactly once;
-//! * a [`SessionStore`] of incremental per-user sessions (k grows as
-//!   the user scrolls), with LRU eviction and graph-epoch invalidation.
+//!   updated graph rebuilds the O(|E|) base table exactly once.
 //!
 //! The whole stack is **delta-aware**: a weight-only mutation recorded
 //! in the [`Graph::delta_since`] ledger is absorbed in O(|touched
-//! edges|) at every layer instead of cascading into O(|E| + caches +
-//! sessions) of rebuild. The [`CostModelCache`] patches its resident
-//! Eq. 1 table in place ([`CostModelCache::patches`] counts these);
-//! each `EngineWorker`'s private cost buffer refreshes only the
-//! touched entries when its recorded anchor bits match the new model's
-//! (`EngineWorker::begin_summary`); and the session store keeps every
-//! session whose touched-edge fingerprint is disjoint from the delta.
+//! edges|) at every layer instead of cascading into O(|E| + caches) of
+//! rebuild. The [`CostModelCache`] patches its resident Eq. 1 table in
+//! place ([`CostModelCache::patches`] counts these); and each
+//! `EngineWorker`'s private cost buffer refreshes only the touched
+//! entries when its recorded anchor bits match the new model's
+//! (`EngineWorker::begin_summary`).
 //! Structural mutations (or an anchor-moving delta) still take the
 //! rebuild path — the ledger only certifies what is provably
 //! bit-identical.
@@ -49,7 +46,6 @@ use xsum_graph::{num_threads, EdgeCosts, EdgeId, Graph, WorkerPool};
 
 use crate::batch::BatchMethod;
 use crate::input::SummaryInput;
-use crate::session::SessionStore;
 use crate::steiner::{
     steiner_tree_fast_with, steiner_tree_with, CostModelCache, CostModelKey, SteinerCostModel,
     SteinerWorkspace,
@@ -219,7 +215,6 @@ pub struct SummaryEngine {
     pool: WorkerPool,
     workers: Vec<EngineWorker>,
     models: CostModelCache,
-    sessions: SessionStore,
     /// Inner-parallelism budget a *lone* batch worker inherits (the
     /// |T| ≥ 24 metric-closure fan-out). Defaults to the worker count;
     /// see [`SummaryEngine::with_threads_and_budget`].
@@ -236,9 +231,6 @@ impl SummaryEngine {
     /// Default capacity of the engine's cost-model cache: generous for a
     /// λ-sweep over a handful of live graph epochs.
     const MODEL_CACHE_CAPACITY: usize = 8;
-
-    /// Default capacity of the engine's incremental-session store.
-    const SESSION_CAPACITY: usize = 1024;
 
     /// An engine sized by [`num_threads`] (hardware parallelism, or
     /// `XSUM_THREADS`).
@@ -264,7 +256,6 @@ impl SummaryEngine {
             pool: WorkerPool::new(threads),
             workers: (0..threads).map(|_| EngineWorker::default()).collect(),
             models: CostModelCache::new(Self::MODEL_CACHE_CAPACITY),
-            sessions: SessionStore::new(Self::SESSION_CAPACITY),
             lone_budget: lone_budget.max(1),
         }
     }
@@ -306,12 +297,6 @@ impl SummaryEngine {
     /// delta instead of being rebuilt.
     pub fn cost_cache_patches(&self) -> u64 {
         self.models.patches()
-    }
-
-    /// The engine's incremental-session store (per-user growing
-    /// summaries with LRU eviction and epoch invalidation).
-    pub fn sessions(&mut self) -> &mut SessionStore {
-        &mut self.sessions
     }
 
     /// Compute one summary on the calling thread, reusing the engine's

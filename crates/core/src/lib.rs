@@ -49,18 +49,17 @@
 //! * [`SummaryEngine`] makes all of that state *persistent* for serving:
 //!   a pinned [`WorkerPool`](xsum_graph::WorkerPool) parked between
 //!   calls, per-worker workspaces and Eq. 1 cost buffers that survive
-//!   across batches, a (graph-epoch, config)-keyed [`CostModelCache`]
-//!   (a thread-local instance of which also backs the sequential
-//!   [`steiner_summary`] / [`steiner_summary_fast`] calls), and a
-//!   [`SessionStore`] of per-user incremental sessions with LRU
-//!   eviction and graph-epoch invalidation;
+//!   across batches, and a (graph-epoch, config)-keyed
+//!   [`CostModelCache`] (a thread-local instance of which also backs
+//!   the sequential [`steiner_summary`] / [`steiner_summary_fast`]
+//!   calls);
 //! * [`ShardedEngine`] scales the engine horizontally: N engine
 //!   replicas, each over a full graph clone, behind [`HashRouter`]
 //!   routing, with a scatter/gather batch planner (mixed batches
 //!   grouped by shard, dispatched onto the replicas' pools
 //!   concurrently, gathered in input order, bit-identical to a single
-//!   engine), shard-affine session stores, and coherent cross-replica
-//!   mutation ([`ShardedEngine::mutate`]);
+//!   engine), and coherent cross-replica mutation
+//!   ([`ShardedEngine::mutate`]);
 //! * [`AdmissionQueue`] makes either engine *asynchronous* without an
 //!   async runtime: a bounded submission queue accepting single and
 //!   batch requests from many producer threads, coalescing queued
@@ -91,8 +90,6 @@ pub mod exact;
 pub mod export;
 pub mod faults;
 pub mod gw;
-pub mod incremental;
-pub mod incremental_pcst;
 pub mod input;
 #[cfg(xsum_loom)]
 pub mod modelcheck;
@@ -100,7 +97,6 @@ pub mod pathfree;
 pub mod pcst;
 pub mod prizes;
 pub mod render;
-pub mod session;
 pub mod shard;
 pub mod steiner;
 pub mod summary;
@@ -121,8 +117,6 @@ pub use exact::{
 pub use export::{overlay_to_dot, summary_to_dot, summary_to_tsv};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSite};
 pub use gw::gw_pcst_summary;
-pub use incremental::{incremental_series, IncrementalSteiner};
-pub use incremental_pcst::{incremental_pcst_series, IncrementalPcst};
 pub use input::{Scenario, SummaryInput};
 pub use pathfree::{
     generate_explanations, path_free_item_centric, path_free_user_centric, path_free_user_group,
@@ -131,7 +125,6 @@ pub use pathfree::{
 pub use pcst::{pcst_summary, PcstConfig, PcstScope};
 pub use prizes::{node_prizes, pcst_summary_with_policy, PrizePolicy};
 pub use render::{render_path, render_summary, table1_example, Table1Example};
-pub use session::{session_summary, EngineSession, SessionKey, SessionStore};
 pub use shard::{BreakerState, CircuitConfig, HashRouter, ShardedEngine};
 pub use steiner::{
     flush_cost_model_cache, steiner_costs, steiner_summary, steiner_summary_fast, steiner_tree,

@@ -18,7 +18,6 @@
 //!                    │  │Engine │ │ │Engine │  │Engine │ │
 //!                    │  │ pool  │ │ │ pool  │  │ pool  │ │
 //!                    │  │ cache │ │ │ cache │  │ cache │ │
-//!                    │  │ sess. │ │ │ sess. │  │ sess. │ │
 //!                    │  └───────┘ │ └───────┘  └───────┘ │
 //!                    │  gather (input order) ────────────┼──► summaries
 //!                    └───────────────────────────────────┘
@@ -38,16 +37,12 @@
 //!   ([`WorkerPool::zip_map`] runs replica *i*'s sub-batch on scatter
 //!   worker *i* — static pairing, no stealing across replicas), and
 //!   reassembles the outputs in input order.
-//! * **Shard-affine sessions.** [`HashRouter`] routes a
-//!   [`SessionKey`] by hashing its user identity, so a user's
-//!   scrolling session always lands on the same replica and that
-//!   replica's [`SessionStore`] stays hot.
 //! * **Coherent mutation.** The replicas' graphs are private, so
 //!   writes go through [`ShardedEngine::mutate`], which applies the
 //!   same closure to every replica and thereby bumps every replica's
-//!   mutation epoch. Each replica's cost-model cache and session store
-//!   key on *its own* graph's epoch, so the next request on any shard
-//!   sees the mutation — no replica can serve pre-mutation state.
+//!   mutation epoch. Each replica's cost-model cache keys on *its
+//!   own* graph's epoch, so the next request on any shard sees the
+//!   mutation — no replica can serve pre-mutation state.
 //!
 //! # Failure semantics
 //!
@@ -80,10 +75,6 @@
 //!   after each successful mutation), which is how
 //!   [`AdmissionQueue::recover`](crate::admission::AdmissionQueue::recover)
 //!   un-poisons a queue over a sharded backend.
-//! * **What does not fail over.** Sessions are stateful and
-//!   shard-affine, so [`ShardedEngine::session_summary`] always serves
-//!   on the owning shard — failing a session over would silently fork
-//!   its incremental state.
 //!
 //! [`FaultSite::ShardServe`]: crate::faults::FaultSite::ShardServe
 
@@ -97,45 +88,27 @@ use crate::batch::BatchMethod;
 use crate::engine::{EngineError, SummaryEngine};
 use crate::faults::{FaultInjector, FaultKind, FaultSite};
 use crate::input::SummaryInput;
-use crate::session::{session_summary, SessionKey, SessionStore};
-use crate::steiner::SteinerConfig;
 use crate::summary::Summary;
 
-/// The sharded tier's routing: Fx-hash of the request's user identity,
+/// The sharded tier's routing: the Fx hash of the input's anchor node,
 /// modulo the shard count. Deterministic, so the same request routes to
-/// the same shard for as long as the shard count is stable — both for
-/// session affinity and so repeated batches hit warm replica state.
+/// the same shard for as long as the shard count is stable, and
+/// repeated batches hit warm replica state.
 ///
-/// Batch inputs are routed by their *anchor node* — the source of the
+/// The anchor ([`HashRouter::routing_anchor`]) is the source of the
 /// first explanation path (the user in user-centric inputs, a member
 /// user otherwise), falling back to the first terminal for path-free
-/// inputs — so all of one user's requests land on the same replica.
-///
-/// **Affinity coherence:** sessions are routed by hashing exactly the
-/// same 64-bit identity ([`SessionKey::user`]) the batch path hashes
-/// for its anchor, so a session keyed by its anchor node
-/// ([`SessionKey::for_node`]) is *guaranteed* to live on the replica
-/// that serves the anchor's batch requests — a user's incremental
-/// state and their batch traffic can never split across replicas. The
-/// baseline label deliberately does **not** participate in routing
-/// (it would break that guarantee); it distinguishes sessions *within*
-/// a shard's store. Pinned by [`HashRouter::routing_anchor`] tests
-/// across shard counts {1, 2, 4}.
+/// inputs, so all of one user's requests land on the same replica.
+/// The placement of a fixed set of inputs is pinned at 2 and 4 shards
+/// by this module's `router_is_deterministic_and_in_range` test: a
+/// change moves users between replicas and strands their warm caches.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HashRouter;
 
 impl HashRouter {
-    fn bucket_of_identity(identity: u64, shards: usize) -> usize {
-        let mut h = FxHasher::default();
-        h.write_u64(identity);
-        (h.finish() % shards.max(1) as u64) as usize
-    }
-
     /// The node whose identity routes `input`: the source of the first
     /// explanation path, falling back to the first terminal for
-    /// path-free inputs. Keying a session with
-    /// [`SessionKey::for_node`] on this node co-locates it with the
-    /// input's batch traffic.
+    /// path-free inputs.
     pub fn routing_anchor(input: &SummaryInput) -> NodeId {
         input
             .paths
@@ -145,14 +118,11 @@ impl HashRouter {
             .unwrap_or(NodeId(0))
     }
 
-    /// The shard (in `0..shards`) that serves `input` in a batch.
+    /// The shard (in `0..shards`) that serves `input`.
     fn route_input(input: &SummaryInput, shards: usize) -> usize {
-        Self::bucket_of_identity(Self::routing_anchor(input).0 as u64, shards)
-    }
-
-    /// The shard (in `0..shards`) that owns `key`'s incremental session.
-    fn route_session(key: &SessionKey, shards: usize) -> usize {
-        Self::bucket_of_identity(key.user, shards)
+        let mut h = FxHasher::default();
+        h.write_u64(Self::routing_anchor(input).0 as u64);
+        (h.finish() % shards.max(1) as u64) as usize
     }
 }
 
@@ -251,19 +221,9 @@ impl ShardedEngine {
         HashRouter::route_input(input, self.shards())
     }
 
-    /// The shard owning `key`'s session.
-    pub fn shard_of_session(&self, key: &SessionKey) -> usize {
-        HashRouter::route_session(key, self.shards())
-    }
-
     /// The graph replica of one shard (shards are content-identical).
     pub fn graph(&self, shard: usize) -> &Graph {
         &self.replicas[shard].graph
-    }
-
-    /// The session store of one shard's replica engine.
-    pub fn sessions(&mut self, shard: usize) -> &mut SessionStore {
-        self.replicas[shard].engine.sessions()
     }
 
     /// Per-shard `(hits, misses)` of the replicas' cost-model caches.
@@ -579,11 +539,10 @@ impl ShardedEngine {
     /// `f` must be deterministic — it runs once per replica and the
     /// replicas must stay content-identical (full-replica sharding's
     /// one invariant). Each application bumps that replica's mutation
-    /// epoch, so every shard's cost-model cache misses and every
-    /// shard's session store invalidates on its next request; the
-    /// epochs themselves need not be numerically equal across replicas
-    /// (they are process-globally unique and never compared across
-    /// graphs).
+    /// epoch, so every shard's cost-model cache misses on its next
+    /// request; the epochs themselves need not be numerically equal
+    /// across replicas (they are process-globally unique and never
+    /// compared across graphs).
     pub fn mutate(&mut self, mut f: impl FnMut(&mut Graph)) {
         for r in &mut self.replicas {
             f(&mut r.graph);
@@ -614,9 +573,9 @@ impl ShardedEngine {
     /// construction). A failed [`ShardedEngine::try_mutate`] is thereby
     /// a rollback no-op: the restored content — and its mutation epoch
     /// — predate the failed closure, so each replica's epoch-keyed
-    /// cost-model cache and session store remain valid for exactly the
-    /// state being served. Breaker states are left untouched; they
-    /// track serve health, not mutation coherence.
+    /// cost-model cache remains valid for exactly the state being
+    /// served. Breaker states are left untouched; they track serve
+    /// health, not mutation coherence.
     pub fn resync_replicas(&mut self) {
         self.last_good.freeze();
         for r in &mut self.replicas {
@@ -636,7 +595,7 @@ impl ShardedEngine {
     /// [`submit_weight_update`](crate::admission::AdmissionQueue::submit_weight_update)
     /// path. Each graph records the whole batch as **one**
     /// [`Graph::apply_delta`] ledger entry (one epoch bump), so every
-    /// downstream cache and session store sees a single covered delta.
+    /// downstream cache sees a single covered delta.
     pub fn apply_weight_delta(&mut self, updates: &[(EdgeId, f64)]) {
         if updates.is_empty() {
             return;
@@ -646,36 +605,12 @@ impl ShardedEngine {
         }
         self.last_good = self.replicas[0].graph.clone();
     }
-
-    /// Serve one growing per-user session request on the shard that
-    /// owns `key`: look up (or start) the session in that replica's
-    /// store, attach any new terminals, snapshot. The shard-affine
-    /// sibling of [`crate::session::session_summary`].
-    pub fn session_summary(
-        &mut self,
-        key: SessionKey,
-        input: &SummaryInput,
-        cfg: &SteinerConfig,
-        terminals_in_rank_order: &[NodeId],
-    ) -> Summary {
-        let shard = self.shard_of_session(&key);
-        let ShardReplica { graph, engine } = &mut self.replicas[shard];
-        session_summary(
-            engine.sessions(),
-            graph,
-            key,
-            input,
-            cfg,
-            terminals_in_rank_order,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pcst::PcstConfig;
-    use crate::render::table1_example;
     use crate::steiner::SteinerConfig;
 
     fn assert_same(a: &Summary, b: &Summary) {
@@ -809,72 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn mutation_invalidates_sessions_on_every_replica() {
-        let ex = table1_example();
-        let input = ex.input();
-        let cfg = SteinerConfig::default();
-        let mut sharded = ShardedEngine::with_threads(&ex.graph, 2, 1);
-        // Find users covering both shards (the Fx hash spreads small
-        // ids, but don't assume which way).
-        let mut keys: Vec<SessionKey> = Vec::new();
-        for u in 0..64u64 {
-            let key = SessionKey::new(u, "pgpr");
-            let shard = sharded.shard_of_session(&key);
-            if !keys.iter().any(|k| sharded.shard_of_session(k) == shard) {
-                keys.push(key);
-            }
-            if keys.len() == 2 {
-                break;
-            }
-        }
-        assert_eq!(keys.len(), 2, "hash router must cover both shards");
-
-        for key in &keys {
-            let s = sharded.session_summary(key.clone(), &input, &cfg, &input.terminals);
-            assert_eq!(s.terminal_coverage(), 1.0);
-        }
-        for shard in 0..2 {
-            assert_eq!(sharded.sessions(shard).len(), 1, "one session per shard");
-        }
-
-        sharded.set_weight(EdgeId(0), 42.0);
-        for key in &keys {
-            sharded.session_summary(key.clone(), &input, &cfg, &[]);
-        }
-        for shard in 0..2 {
-            assert_eq!(
-                sharded.sessions(shard).invalidations(),
-                1,
-                "shard {shard} must drop pre-mutation sessions"
-            );
-        }
-    }
-
-    #[test]
-    fn sessions_are_shard_affine() {
-        let ex = table1_example();
-        let input = ex.input();
-        let cfg = SteinerConfig::default();
-        let mut sharded = ShardedEngine::with_threads(&ex.graph, 4, 1);
-        let key = SessionKey::new(7, "pgpr");
-        let home = sharded.shard_of_session(&key);
-        for round in 1..=3usize {
-            sharded.session_summary(
-                key.clone(),
-                &input,
-                &cfg,
-                &input.terminals[..round.min(input.terminals.len())],
-            );
-        }
-        // All three requests landed on the same replica and resumed.
-        assert_eq!(sharded.sessions(home).misses(), 1);
-        assert_eq!(sharded.sessions(home).hits(), 2);
-        for shard in (0..4).filter(|&s| s != home) {
-            assert_eq!(sharded.sessions(shard).len(), 0, "foreign shard touched");
-        }
-    }
-
-    #[test]
     fn router_is_deterministic_and_in_range() {
         let (g, inputs) = mixed_inputs();
         for shards in 1..=8 {
@@ -883,59 +752,16 @@ mod tests {
                 assert_eq!(a, HashRouter::route_input(input, shards));
                 assert!(a < shards);
             }
-            let key = SessionKey::new(123, "cafe");
-            assert!(HashRouter::route_session(&key, shards) < shards);
-            assert_eq!(
-                HashRouter::route_session(&key, shards),
-                HashRouter::route_session(&key, shards)
-            );
         }
         // Pinned routes: the Fx-hash placement of the mixed fixture's
-        // inputs and of a spread of session identities. A change here
-        // moves users between replicas and strands their warm state.
-        let ids = [0u64, 1, 2, 3, 7, 123, 1 << 40, u64::MAX];
-        let pinned: [(usize, [usize; 7], [usize; 8]); 2] = [
-            (2, [0, 1, 0, 1, 0, 0, 0], [0, 1, 0, 1, 1, 1, 0, 1]),
-            (4, [0, 1, 2, 3, 0, 0, 2], [0, 1, 2, 3, 3, 3, 0, 3]),
-        ];
-        for (shards, want_inputs, want_sessions) in pinned {
+        // inputs. A change here moves users between replicas and
+        // strands their warm state.
+        let pinned: [(usize, [usize; 7]); 2] =
+            [(2, [0, 1, 0, 1, 0, 0, 0]), (4, [0, 1, 2, 3, 0, 0, 2])];
+        for (shards, want_inputs) in pinned {
             let sharded = ShardedEngine::with_threads(&g, shards, 1);
             let got: Vec<usize> = inputs.iter().map(|i| sharded.shard_of_input(i)).collect();
             assert_eq!(got, want_inputs, "input routes moved at {shards} shards");
-            let got: Vec<usize> = ids
-                .iter()
-                .map(|&u| sharded.shard_of_session(&SessionKey::new(u, "cafe")))
-                .collect();
-            assert_eq!(
-                got, want_sessions,
-                "session routes moved at {shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn router_affinity_is_coherent_between_inputs_and_sessions() {
-        // Satellite regression: `shard_of_input` and `shard_of_session`
-        // must agree for the same (user, baseline) identity — otherwise
-        // a user's incremental session state and their batch requests
-        // land on different replicas and the session store can never
-        // warm up. Verified across shard counts {1, 2, 4} and every
-        // input shape of the mixed fixture.
-        let (g, inputs) = mixed_inputs();
-        for shards in [1usize, 2, 4] {
-            let sharded = ShardedEngine::with_threads(&g, shards, 1);
-            for input in &inputs {
-                let anchor = HashRouter::routing_anchor(input);
-                for baseline in ["pgpr", "cafe", "plm"] {
-                    let key = SessionKey::for_node(anchor, baseline);
-                    assert_eq!(
-                        sharded.shard_of_input(input),
-                        sharded.shard_of_session(&key),
-                        "input and session for anchor {anchor:?} split \
-                         across replicas at {shards} shards"
-                    );
-                }
-            }
         }
     }
 

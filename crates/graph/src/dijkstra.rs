@@ -408,10 +408,9 @@ impl DijkstraWorkspace {
     ///
     /// The settled set is exactly the set of nodes whose incident edge
     /// costs the run read: relaxation streams a node's CSR row only when
-    /// it settles. Consumers tracking which edges a search depended on —
-    /// e.g. the per-session touched-edge fingerprints behind
-    /// weight-delta session survival — take the union of incident edges
-    /// over this set as a sound (conservative) read-set bound.
+    /// it settles, so summing degrees over this set counts the edges a
+    /// search scanned — how work counters outside the hot loop (e.g. a
+    /// benchmark's per-phase trace) measure a run.
     pub fn for_each_settled(&self, mut f: impl FnMut(NodeId)) {
         for (i, &s) in self.settled.iter().enumerate() {
             if s == self.generation {

@@ -10,9 +10,7 @@
 //!    new_bits)` and `delta_since` replays it, invertibly;
 //! 2. a warm [`SummaryEngine`] patching its resident Eq. 1 cost tables
 //!    in O(|touched|) instead of rebuilding O(|E|) state;
-//! 3. a [`SessionStore`] keeping live sessions alive when their
-//!    read-set is disjoint from the delta;
-//! 4. an [`AdmissionQueue`] applying coalesced weight updates
+//! 3. an [`AdmissionQueue`] applying coalesced weight updates
 //!    *without* a mutation barrier, while summaries keep flowing.
 //!
 //! ```text
@@ -22,8 +20,7 @@
 use std::time::Instant;
 
 use xsum::core::{
-    AdmissionConfig, AdmissionQueue, BatchMethod, SessionKey, SessionStore, SteinerConfig,
-    SummaryEngine, SummaryInput,
+    AdmissionConfig, AdmissionQueue, BatchMethod, SteinerConfig, SummaryEngine, SummaryInput,
 };
 use xsum::datasets::ml1m_scaled;
 use xsum::graph::EdgeId;
@@ -111,26 +108,7 @@ fn main() {
         rebuilt_ms,
     );
 
-    // 3. Sessions: live sessions whose read-set is disjoint from the
-    // delta survive with patched costs; only intersecting ones rebuild.
-    let mut store = SessionStore::new(inputs.len());
-    for (i, input) in inputs.iter().enumerate() {
-        store.steiner_session(&g, SessionKey::new(i as u64, "pgpr"), input, &cfg);
-    }
-    g.apply_delta(&delta_for(&g, 99));
-    for (i, input) in inputs.iter().enumerate() {
-        store.steiner_session(&g, SessionKey::new(i as u64, "pgpr"), input, &cfg);
-    }
-    println!(
-        "sessions: {} live, a 1% delta later: {} survived (disjoint read-set), \
-         {} invalidated by the delta, {} by structure",
-        inputs.len(),
-        store.survived_delta(),
-        store.invalidated_delta(),
-        store.invalidated_structural(),
-    );
-
-    // 4. The admission queue: weight updates are NOT barriers — they
+    // 3. The admission queue: weight updates are NOT barriers — they
     // coalesce in admission order and ride ahead of the next batch
     // while the linger window stays open and summaries keep flowing.
     let queue = AdmissionQueue::for_engine(
@@ -162,7 +140,7 @@ fn main() {
     let elapsed = t.elapsed().as_secs_f64();
     let stats = queue.stats();
     println!(
-        "\nadmission queue: {} summaries at {:.0}/s while {} live edge updates \
+        "admission queue: {} summaries at {:.0}/s while {} live edge updates \
          landed in {} coalesced non-barrier batches ({} structural barriers)",
         served,
         served as f64 / elapsed,

@@ -1,9 +1,9 @@
 //! Sharded serving: per-shard engine replicas behind scatter/gather.
 //!
-//! A single `SummaryEngine` serves one worker pool, one cost-model
-//! cache, and one session store. `ShardedEngine` scales that shape
-//! horizontally: N engine replicas over N full graph replicas, Fx-hash
-//! routing pinning each user to a home shard (sessions stay warm), a
+//! A single `SummaryEngine` serves one worker pool and one cost-model
+//! cache. `ShardedEngine` scales that shape horizontally: N engine
+//! replicas over N full graph replicas, Fx-hash routing pinning each
+//! user to a home shard (its replica's caches stay warm), a
 //! scatter/gather planner for mixed batches, and coherent
 //! cross-replica mutation.
 //!
@@ -13,9 +13,7 @@
 
 use std::time::Instant;
 
-use xsum::core::{
-    BatchMethod, SessionKey, ShardedEngine, SteinerConfig, SummaryEngine, SummaryInput,
-};
+use xsum::core::{BatchMethod, ShardedEngine, SteinerConfig, SummaryEngine, SummaryInput};
 use xsum::datasets::ml1m_scaled;
 use xsum::rec::{MfConfig, MfModel, PathRecommender, Pgpr, PgprConfig};
 
@@ -78,38 +76,18 @@ fn main() {
         );
     }
 
-    // Shard-affine sessions: each scrolling user resumes on their home
-    // shard; the per-replica stores stay small and hot.
-    let cfg = SteinerConfig::default();
-    for k in [4usize, 7, 10] {
-        for (idx, input) in inputs.iter().enumerate() {
-            let key = SessionKey::new(idx as u64, "pgpr");
-            sharded.session_summary(
-                key,
-                input,
-                &cfg,
-                &input.terminals[..k.min(input.terminals.len())],
-            );
-        }
-    }
-    for shard in 0..sharded.shards() {
-        let store = sharded.sessions(shard);
-        println!(
-            "shard {shard} sessions: {} live, {} hits / {} misses",
-            store.len(),
-            store.hits(),
-            store.misses(),
-        );
-    }
-
-    // Coherent mutation: one write, every replica's epoch moves, every
-    // cost cache and session store invalidates on its next request.
+    // Coherent mutation: one write moves every replica's epoch. A
+    // weight-only write is a ledger delta, so each replica's cost cache
+    // patches in place on its next request (a miss only if the Eq. 1
+    // anchor moves).
     let before: Vec<u64> = sharded.cost_cache_stats().iter().map(|s| s.1).collect();
     sharded.set_weight(xsum::graph::EdgeId(0), 4.5);
     sharded.summarize_batch(&inputs, method);
     let after: Vec<u64> = sharded.cost_cache_stats().iter().map(|s| s.1).collect();
     println!(
-        "\nmutation propagated: per-shard cost-model misses {:?} -> {:?} (every serving replica rebuilt)",
-        before, after
+        "\nmutation propagated: per-shard cost-model misses {:?} -> {:?}, patches {:?}",
+        before,
+        after,
+        sharded.cost_cache_patches()
     );
 }

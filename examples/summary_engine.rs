@@ -7,8 +7,7 @@
 //! * a pinned worker pool (threads parked between batches),
 //! * per-worker Steiner workspaces and Eq. 1 cost buffers that stay
 //!   warm across calls,
-//! * a (graph-epoch, config)-keyed cost-model cache,
-//! * an LRU session store for users whose k grows as they scroll.
+//! * a (graph-epoch, config)-keyed cost-model cache.
 //!
 //! ```text
 //! cargo run --release --example summary_engine
@@ -16,9 +15,7 @@
 
 use std::time::Instant;
 
-use xsum::core::{
-    summarize_batch, BatchMethod, SessionKey, SteinerConfig, SummaryEngine, SummaryInput,
-};
+use xsum::core::{summarize_batch, BatchMethod, SteinerConfig, SummaryEngine, SummaryInput};
 use xsum::datasets::ml1m_scaled;
 use xsum::rec::{MfConfig, MfModel, PathRecommender, Pgpr, PgprConfig};
 
@@ -80,42 +77,5 @@ fn main() {
     println!(
         "warm single-summary serving:     {:.3} ms/summary",
         t.elapsed().as_secs_f64() * 1e3 / inputs.len() as f64
-    );
-
-    // Incremental sessions: k grows as a user scrolls; the session
-    // store resumes each user's summary where it left off. Size the
-    // store for the live user population — an LRU smaller than a
-    // cyclically-scanned working set degrades to all-misses.
-    let cfg = SteinerConfig::default();
-    engine.sessions().set_capacity(inputs.len() + 8);
-    for (scroll, k) in [4usize, 7, 10].iter().enumerate() {
-        for (idx, input) in inputs.iter().enumerate() {
-            let session = engine.sessions().steiner_session(
-                g,
-                SessionKey::new(idx as u64, "pgpr"),
-                input,
-                &cfg,
-            );
-            for &t in input.terminals.iter().take(*k) {
-                session.add_terminal(g, t);
-            }
-            if idx == 0 {
-                let s = session.summary();
-                println!(
-                    "user 0 scroll {}: k≤{} → {} edges, {} terminals (grows, never reshuffles)",
-                    scroll,
-                    k,
-                    s.subgraph.edge_count(),
-                    s.terminals.len()
-                );
-            }
-        }
-    }
-    println!(
-        "session store: {} live sessions, {} hits / {} misses / {} evictions",
-        engine.sessions().len(),
-        engine.sessions().hits(),
-        engine.sessions().misses(),
-        engine.sessions().evictions(),
     );
 }

@@ -21,8 +21,8 @@
 //! * [`core`] — the paper's contribution: the four summarization
 //!   scenarios, Eq. 1 weighting, Algorithm 1 (ST), Algorithm 2 (PCST),
 //!   the Goemans–Williamson 2-approximation, the exact Dreyfus–Wagner
-//!   oracle, incremental ST/PCST sessions, path-free generation for
-//!   black-box recommenders, DOT/TSV export, and the Table I renderer;
+//!   oracle, path-free generation for black-box recommenders, DOT/TSV
+//!   export, and the Table I renderer;
 //! * [`metrics`] — the §V-B quality metrics and performance
 //!   instrumentation.
 //!

@@ -1,7 +1,7 @@
 //! Integration tests for the extension surface (DESIGN.md §5.1): prize
-//! policies, incremental summaries, fairness comparisons, subgraph
-//! extraction, ranking evaluation, and the real-data loader — all driven
-//! through the public `xsum` façade like a downstream user would.
+//! policies, fairness comparisons, subgraph extraction, ranking
+//! evaluation, and the real-data loader — all driven through the public
+//! `xsum` façade like a downstream user would.
 
 use xsum::core::{
     pcst_summary_with_policy, steiner_summary, PcstConfig, PrizePolicy, SteinerConfig, SummaryInput,

@@ -1,12 +1,10 @@
 //! Property tests pinning the weight-delta ledger end-to-end: across
 //! random weight-delta tapes, every delta-aware consumer — a warm
-//! [`SummaryEngine`], [`ShardedEngine`]s at shard counts {1, 2, 4},
-//! and live [`SessionStore`] sessions — must
-//! stay **bit-identical** to a stack rebuilt from scratch over the
-//! identically-mutated graph. Whether a given batch takes the
-//! O(|touched|) patch path, falls back to a rebuild (anchor moved,
-//! ledger chain broken), or invalidates a session must be invisible
-//! in the outputs.
+//! [`SummaryEngine`] and [`ShardedEngine`]s at shard counts {1, 2, 4}
+//! — must stay **bit-identical** to a stack rebuilt from scratch over
+//! the identically-mutated graph. Whether a given batch takes the
+//! O(|touched|) patch path or falls back to a rebuild (anchor moved,
+//! ledger chain broken) must be invisible in the outputs.
 //!
 //! The ledger itself is pinned at the bit level: replaying a tape's
 //! records backwards through [`WeightDeltaRec::inverse`] must restore
@@ -17,8 +15,7 @@
 use proptest::prelude::*;
 
 use xsum::core::{
-    session_summary, BatchMethod, PcstConfig, SessionKey, SessionStore, ShardedEngine,
-    SteinerConfig, Summary, SummaryEngine, SummaryInput,
+    BatchMethod, PcstConfig, ShardedEngine, SteinerConfig, Summary, SummaryEngine, SummaryInput,
 };
 use xsum::graph::{EdgeId, EdgeKind, Graph, LoosePath, NodeId, NodeKind, WeightDeltaRec};
 
@@ -212,52 +209,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sessions_survive_deltas_bit_identically(kg in arb_kg(), tape in arb_tape()) {
-        // Live sessions revalidated across delta batches — some
-        // surviving with patched costs, some invalidated and rebuilt —
-        // must answer exactly like sessions grown fresh on the
-        // post-delta graph.
-        let cfg = SteinerConfig::default();
-        let mut g = kg.g.clone();
-        let inputs = inputs_for(&kg);
-        let mut store = SessionStore::new(16);
-        for (round, batch) in tape.iter().enumerate() {
-            g.apply_delta(&resolve(&g, batch, serve_weight));
-            for (i, input) in inputs.iter().enumerate() {
-                // Monotone per session: live sessions only ever grow
-                // their terminal set.
-                let upto = (1 + round).min(input.terminals.len().max(1));
-                let got = session_summary(
-                    &mut store,
-                    &g,
-                    SessionKey::new(i as u64, "pgpr"),
-                    input,
-                    &cfg,
-                    &input.terminals[..upto],
-                );
-                let want = session_summary(
-                    &mut SessionStore::new(16),
-                    &g,
-                    SessionKey::new(i as u64, "pgpr"),
-                    input,
-                    &cfg,
-                    &input.terminals[..upto],
-                );
-                assert_bit_identical(&want, &got)?;
-            }
-        }
-        // The tape's batches were judged: every revalidation either
-        // survived or was invalidated, never silently dropped.
-        prop_assert!(
-            store.survived_delta()
-                + store.invalidated_delta()
-                + store.invalidated_structural()
-                + store.misses()
-                > 0
-        );
     }
 
     #[test]

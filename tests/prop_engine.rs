@@ -5,7 +5,9 @@
 //! points (`steiner_summary` / `steiner_summary_fast` / `pcst_summary`).
 //! That identity is the engine's contract — all its persistence
 //! (pinned pool, resident cost buffers, cost-model cache) must be
-//! invisible in the outputs.
+//! invisible in the outputs. A plain test at the end pins the
+//! staleness contract of the (graph-epoch, config)-keyed cost-model
+//! cache on a small synthetic ML1M corpus.
 
 use proptest::prelude::*;
 
@@ -14,6 +16,7 @@ use xsum::core::{
     summarize_batch_threads, BatchMethod, PcstConfig, SteinerConfig, Summary, SummaryEngine,
     SummaryInput,
 };
+use xsum::datasets::ml1m_scaled;
 use xsum::graph::{EdgeKind, Graph, LoosePath, NodeId, NodeKind};
 
 /// A random small KG shape: users, items, entities, random interaction
@@ -210,4 +213,72 @@ proptest! {
             }
         }
     }
+}
+
+/// A small but real corpus: the scaled synthetic ML1M graph plus one
+/// user-centric input per sampled user (3-hop explanation paths).
+fn corpus(users: usize, k: usize) -> (xsum::datasets::Dataset, Vec<(u64, NodeId, SummaryInput)>) {
+    let ds = ml1m_scaled(7, 0.02);
+    let mut inputs = Vec::new();
+    for u in 0..users.min(ds.kg.n_users()) {
+        let mut paths = Vec::new();
+        for i in 0..k {
+            if let Some(p) = xsum::datasets::random_explanation_path(
+                &ds,
+                u,
+                3,
+                7 ^ ((u as u64) << 8) ^ i as u64,
+                30,
+            ) {
+                paths.push(xsum::graph::LoosePath::from_path(&p));
+            }
+        }
+        if !paths.is_empty() {
+            let focus = ds.kg.user_node(u);
+            inputs.push((u as u64, focus, SummaryInput::user_centric(focus, paths)));
+        }
+    }
+    assert!(inputs.len() >= 4, "corpus must produce real inputs");
+    (ds, inputs)
+}
+
+#[test]
+fn cost_model_cache_staleness_contract() {
+    // Satellite: mutate an edge weight, assert the (epoch, config)
+    // cache misses, and the recomputed summary matches a cold engine.
+    let (mut ds, inputs) = corpus(4, 6);
+    let (_, _, input) = &inputs[0];
+    let cfg = SteinerConfig::default();
+    let method = BatchMethod::Steiner(cfg);
+
+    let mut warm = SummaryEngine::with_threads(2);
+    let before = warm.summarize(&ds.kg.graph, input, method);
+    let (hits0, misses0) = warm.cost_cache_stats();
+    assert_eq!((hits0, misses0), (0, 1));
+    // Second call, unmutated graph: hit.
+    warm.summarize(&ds.kg.graph, input, method);
+    assert_eq!(warm.cost_cache_stats(), (1, 1));
+
+    // Find an edge the first summary actually used and reweight it.
+    let touched = *before
+        .subgraph
+        .sorted_edges()
+        .first()
+        .expect("summary has edges");
+    let old_w = ds.kg.graph.weight(touched);
+    ds.kg.graph.set_weight(touched, old_w + 50.0);
+
+    let after = warm.summarize(&ds.kg.graph, input, method);
+    assert_eq!(
+        warm.cost_cache_stats(),
+        (1, 2),
+        "epoch change must miss the cost-model cache"
+    );
+    let cold = SummaryEngine::with_threads(2).summarize(&ds.kg.graph, input, method);
+    assert_eq!(after.subgraph.sorted_edges(), cold.subgraph.sorted_edges());
+    assert_eq!(after.subgraph.sorted_nodes(), cold.subgraph.sorted_nodes());
+    // And the free function agrees (its thread-local cache revalidates
+    // through the same epoch key).
+    let free = steiner_summary(&ds.kg.graph, input, &cfg);
+    assert_eq!(after.subgraph.sorted_edges(), free.subgraph.sorted_edges());
 }

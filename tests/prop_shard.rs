@@ -10,8 +10,7 @@
 use proptest::prelude::*;
 
 use xsum::core::{
-    BatchMethod, PcstConfig, SessionKey, ShardedEngine, SteinerConfig, Summary, SummaryEngine,
-    SummaryInput,
+    BatchMethod, PcstConfig, ShardedEngine, SteinerConfig, Summary, SummaryEngine, SummaryInput,
 };
 use xsum::graph::{EdgeId, EdgeKind, Graph, LoosePath, NodeId, NodeKind};
 
@@ -206,33 +205,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn sharded_sessions_match_store_semantics(kg in arb_kg()) {
-        // Shard-affine sessions: growing a session through the sharded
-        // front-end produces the same summaries as a plain session
-        // store over the same graph.
-        let cfg = SteinerConfig::default();
-        let input = SummaryInput::user_centric(kg.users[0], kg.paths.clone());
-        let mut sharded = ShardedEngine::with_threads(&kg.g, 4, 1);
-        let mut reference = xsum::core::SessionStore::new(16);
-        for round in 1..=input.terminals.len() {
-            let key = SessionKey::new(11, "pgpr");
-            let got = sharded.session_summary(key, &input, &cfg, &input.terminals[..round]);
-            let want = xsum::core::session_summary(
-                &mut reference,
-                &kg.g,
-                SessionKey::new(11, "pgpr"),
-                &input,
-                &cfg,
-                &input.terminals[..round],
-            );
-            assert_bit_identical(&want, &got)?;
-        }
-        let home = sharded.shard_of_session(&SessionKey::new(11, "pgpr"));
-        prop_assert_eq!(sharded.sessions(home).misses(), 1);
-        prop_assert_eq!(
-            sharded.sessions(home).hits(),
-            input.terminals.len() as u64 - 1
-        );
-    }
 }
