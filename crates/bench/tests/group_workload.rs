@@ -6,11 +6,15 @@
 //! observable only through the
 //! [`SteinerWorkspace::last_closure_workers`] probe, because the two
 //! branches are bit-identical in their output. The same goes for the
-//! closure's search radius, which only the
-//! [`SteinerWorkspace::last_closure_settled`] work counter can see.
+//! KMB closure's search radius and for ST-fast's bounded Voronoi pass,
+//! which only the [`SteinerWorkspace::last_closure_settled`] work
+//! counter can see.
 
-use xsum_bench::experiments::perf::{group_input, GROUP_USERS};
-use xsum_core::{steiner_costs, steiner_tree_with, Scenario, SteinerConfig, SteinerWorkspace};
+use xsum_bench::experiments::perf::{batch_inputs, group_input, GROUP_USERS};
+use xsum_core::{
+    steiner_costs, steiner_tree_fast_with, steiner_tree_with, Scenario, SteinerConfig,
+    SteinerWorkspace,
+};
 use xsum_datasets::{scaling::scaling_graph_scaled, ScalingLevel};
 use xsum_graph::DijkstraWorkspace;
 
@@ -114,4 +118,33 @@ fn bounded_closure_settles_fewer_nodes_than_unbounded_searches() {
         );
     }
     assert_eq!(trees[0], trees[1]);
+}
+
+#[test]
+fn bounded_voronoi_pass_settles_fewer_nodes_than_run_voronoi() {
+    // The same G1 graph `group_input` draws on, with one user-centric
+    // input beside the group.
+    let (ds, centric) = batch_inputs(ScalingLevel::G1, 0.2, 42, 1, 10);
+    let group = group_input(&ds, GROUP_USERS, 42, 3).expect("G1 yields group paths");
+    let g = &ds.kg.graph;
+    let mut ws = SteinerWorkspace::new();
+    for input in [&centric[0], &group] {
+        let costs = steiner_costs(g, input, &SteinerConfig::default());
+        let mut terms = input.terminals.clone();
+        terms.sort_unstable();
+        terms.dedup();
+        let mut dij = DijkstraWorkspace::new();
+        dij.run_voronoi(g, &costs, &terms);
+        let exhaustive = dij.settled_count();
+
+        steiner_tree_fast_with(g, &costs, &input.terminals, &mut ws);
+        let bounded = ws.last_closure_settled();
+        assert!(
+            0 < bounded && bounded < exhaustive,
+            "{:?} input, |T| = {}: ST-fast's pass settles {bounded} nodes, \
+             run_voronoi {exhaustive}",
+            input.scenario,
+            terms.len()
+        );
+    }
 }

@@ -34,11 +34,16 @@
 //! reproducible as `repro quality_stfast` — across all four scenarios ×
 //! the λ ∈ {0.01, 1, 100} sweep × k, every metric's ST-fast-vs-KMB delta
 //! is noise (mean |Δ| ≤ 0.001 absolute on the unit-scaled metrics and
-//! ≤ 0.1% relative on relevance; faithfulness identical), while the
-//! closure costs `O(|E| + |V| log |V|)` instead of the paper's
-//! `O(|T|(|E| + |V| log |V|))`. KMB stays fully supported as the
-//! **fidelity reference** — [`steiner_summary`] /
-//! [`crate::BatchMethod::Steiner`] / the CLI's `--method st-kmb` — and
+//! ≤ 0.1% relative on relevance; faithfulness identical). Its closure is
+//! one multi-source Dijkstra instead of the paper's |T| searches, with
+//! the bridge scan fused in and a stop rule: the pass ends once no
+//! bridge it has not met could enter the bridges' MST. At worst that is
+//! the exhaustive `O(|E| + |V| log |V|)` pass plus a few Kruskal runs
+//! over its at most |T|(|T|−1)/2 terminal pairs; on user-centric inputs
+//! it settles a small fraction of the graph (see
+//! [`xsum_graph::DijkstraWorkspace::run_voronoi_bounded`]). KMB stays
+//! fully supported as the **fidelity reference** — [`steiner_summary`]
+//! / [`crate::BatchMethod::Steiner`] / the CLI's `--method st-kmb` — and
 //! remains what the paper-reproduction figures run, since it is the
 //! pseudocode of Algorithm 1 line by line.
 
@@ -46,7 +51,7 @@ use std::cell::RefCell;
 
 use xsum_graph::{
     kruskal, num_threads, DijkstraWorkspace, EdgeCosts, EdgeId, FxHashMap, FxHashSet, Graph,
-    MstEdge, NodeId, Subgraph, UnionFind, WeightDeltaRec, WorkerPool,
+    MstEdge, NodeId, Subgraph, UnionFind, VoronoiBridges, WeightDeltaRec, WorkerPool,
 };
 
 use crate::input::SummaryInput;
@@ -481,16 +486,19 @@ pub(crate) fn cached_steiner_costs(
     costs
 }
 
-/// Reusable scratch state for [`steiner_tree_with`].
+/// Reusable scratch state for [`steiner_tree_with`] and
+/// [`steiner_tree_fast_with`].
 ///
 /// Owns the per-call buffers of the KMB construction — the deduplicated
 /// terminal list, the metric-closure edge list, and a flat edge-id arena
 /// holding every pair's expanded shortest path — plus one
 /// [`DijkstraWorkspace`] per potential worker thread, the running forest
-/// that bounds the closure's searches, and the [`WorkerPool`] the
-/// parallel metric closure runs on. After the first call at a given
-/// problem size, a summary computes without allocating anything but its
-/// output subgraph.
+/// that bounds the closure's searches, ST-fast's bridge reduction, and
+/// the [`WorkerPool`] the parallel metric closure runs on. Once warm at
+/// a given problem size, the searches allocate nothing. The steps after
+/// them still do, on every call: the expanded edge set, Kruskal's
+/// output, the post-passes' maps and sets (re-MST, the terminal set,
+/// each leaf-pruning round) and the output subgraph.
 #[derive(Debug, Default)]
 pub struct SteinerWorkspace {
     /// Sorted, deduplicated terminal scratch.
@@ -503,9 +511,8 @@ pub struct SteinerWorkspace {
     /// Flat storage for all closure paths.
     arena: Vec<EdgeId>,
     /// Mehlhorn pair reduction: cheapest boundary bridge per terminal
-    /// pair, `(cost, bridge edge id)` in a dense upper-triangular T×T
-    /// matrix.
-    pair_best: Vec<(f64, u32)>,
+    /// pair, filled by ST-fast's bounded Voronoi pass.
+    bridges: VoronoiBridges,
     /// One closure worker per wave slot (index 0 doubles as the
     /// sequential worker and as Mehlhorn's Voronoi workspace).
     workers: Vec<ClosureWorker>,
@@ -664,11 +671,12 @@ impl SteinerWorkspace {
         self.last_closure_workers
     }
 
-    /// How many nodes the most recent metric closure's searches settled,
-    /// summed over its sources (0 before the first closure). A work
-    /// counter that does not depend on the machine: the closure's output
-    /// is bit-identical to unbounded searches, so this is where a lost
-    /// search bound would show.
+    /// How many nodes the most recent metric closure settled (0 before
+    /// the first closure): for KMB, summed over its per-terminal
+    /// searches; for ST-fast, the bounded Voronoi pass's count. A work
+    /// counter that does not depend on the machine: both closures'
+    /// outputs are bit-identical to unbounded searches, so this is where
+    /// a lost search bound would show.
     pub fn last_closure_settled(&self) -> usize {
         self.last_closure_settled
     }
@@ -864,12 +872,17 @@ fn finish_tree(
 /// Mehlhorn's 1988 refinement replaces them with **one** multi-source
 /// Dijkstra that partitions the graph into Voronoi cells around the
 /// terminals, then connects cells through their cheapest boundary
-/// edges. The approximation guarantee is the same factor 2, the
-/// asymptotic cost drops from `O(|T|(|E| + |V| log |V|))` (the paper's
-/// quoted bound) to `O(|E| + |V| log |V|)`, and the produced tree is
-/// usually — but not always — identical to KMB's. Use this for
-/// throughput-critical batches; use [`steiner_summary`] to reproduce
-/// the paper's pseudocode exactly.
+/// edges. Here the boundary scan runs inside that Dijkstra, as nodes
+/// settle, and the pass stops at the first pop key above half the
+/// heaviest edge of the bridges' MST: no later bridge could enter it.
+/// The approximation guarantee is the same factor 2; the closure costs
+/// at most `O(|E| + |V| log |V|)` plus a few Kruskal runs over the
+/// terminal pairs, instead of the paper's quoted
+/// `O(|T|(|E| + |V| log |V|))`, and on user-centric inputs, whose
+/// terminals sit close together, it settles a small fraction of the
+/// graph. The produced tree is usually — but not always — identical to
+/// KMB's. Use this for throughput-critical batches; use
+/// [`steiner_summary`] to reproduce the paper's pseudocode exactly.
 pub fn steiner_summary_fast(g: &Graph, input: &SummaryInput, cfg: &SteinerConfig) -> Summary {
     let costs = cached_steiner_costs(g, input, cfg);
     let subgraph = steiner_tree_fast(g, &costs, &input.terminals);
@@ -908,70 +921,56 @@ pub fn steiner_tree_fast_with(
         _ => {}
     }
 
-    // 1. One multi-source Dijkstra: Voronoi cells around the terminals.
+    // 1 + 2. One multi-source Dijkstra grows Voronoi cells around the
+    //        terminals and, as each node settles, reduces the edges to
+    //        already-settled neighbours in other cells into the cheapest
+    //        bridge per terminal pair: bridge e joins t_u and t_v at cost
+    //        d(u, t_u) + c(e) + d(v, t_v), and a pair keeps its minimum
+    //        by (cost, edge id), so the smallest-id bridge wins a cost
+    //        tie. The dense pair matrix keeps Kruskal's input at most
+    //        T·(T−1)/2 entries, however many boundary edges there are.
+    //        The pass stops at the first pop key k with 2k above the
+    //        heaviest edge of the bridges' MST: every bridge it has not
+    //        met costs more, so Kruskal below picks the same pairs,
+    //        bridge ids and cost bits as over a scan of every edge.
     if ws.workers.is_empty() {
         ws.workers.push(ClosureWorker::default());
     }
     let dij = &mut ws.workers[0].dij;
-    dij.run_voronoi(g, costs, &ws.terminals);
-
-    // 2. Candidate inter-cell connections: every edge whose endpoints
-    //    lie in different cells connects its two terminals at cost
-    //    d(u, t_u) + c(e) + d(v, t_v). Boundary edges can number O(|E|),
-    //    so reduce to the cheapest bridge per terminal pair in a dense
-    //    upper-triangular matrix first — kruskal then sorts at most
-    //    T·(T−1)/2 entries instead of thousands. Iterating edges in id
-    //    order with a strict `<` keeps the smallest-id bridge on ties,
-    //    mirroring KMB's insertion-order affinity.
-    let t = ws.terminals.len();
-    ws.pair_best.clear();
-    ws.pair_best.resize(t * t, (f64::INFINITY, u32::MAX));
-    for e in g.edge_ids() {
-        let edge = g.edge(e);
-        if let (Some(ou), Some(ov)) = (dij.origin_of(edge.src), dij.origin_of(edge.dst)) {
-            if ou != ov {
-                let du = dij.distance(edge.src).expect("origin implies distance");
-                let dv = dij.distance(edge.dst).expect("origin implies distance");
-                let cost = du + costs.get(e) + dv;
-                let idx = (ou.min(ov) as usize) * t + ou.max(ov) as usize;
-                if cost < ws.pair_best[idx].0 {
-                    ws.pair_best[idx] = (cost, e.0);
-                }
-            }
-        }
-    }
+    dij.run_voronoi_bounded(g, costs, &ws.terminals, &mut ws.bridges);
+    ws.last_closure_settled = dij.settled_count();
     ws.closure.clear();
-    for a in 0..t {
-        for b in (a + 1)..t {
-            let (cost, e) = ws.pair_best[a * t + b];
-            if e != u32::MAX {
-                ws.closure.push(MstEdge {
-                    a,
-                    b,
-                    cost,
-                    payload: e as usize,
-                });
-            }
-        }
-    }
-    let mst = kruskal(t, &ws.closure);
+    ws.closure.extend(ws.bridges.pairs());
+    let mst = kruskal(ws.terminals.len(), &ws.closure);
 
     // 3. Expand each chosen bridge into bridge + both endpoint-to-
     //    terminal paths.
-    ws.arena.clear();
-    let mut edge_set: FxHashSet<EdgeId> = FxHashSet::default();
-    for ce in &mst {
-        let e = EdgeId(ce.payload as u32);
-        let edge = g.edge(e);
-        edge_set.insert(e);
-        ws.arena.clear();
-        dij.append_path_to_origin(g, edge.src, &mut ws.arena);
-        dij.append_path_to_origin(g, edge.dst, &mut ws.arena);
-        edge_set.extend(ws.arena.iter().copied());
-    }
+    let edge_set = expand_bridges(g, dij, &mst, &mut ws.arena);
 
     // 4. Same KMB post-passes: re-MST, then prune non-terminal leaves.
     finish_tree(g, costs, &edge_set, &ws.terminals)
+}
+
+/// ST-fast's step 3: the edge set of the chosen bridges (payload = edge
+/// id) plus the paths from both endpoints of each back to their cells'
+/// terminals, read off the Voronoi pass in `dij`.
+fn expand_bridges(
+    g: &Graph,
+    dij: &DijkstraWorkspace,
+    mst: &[MstEdge],
+    scratch: &mut Vec<EdgeId>,
+) -> FxHashSet<EdgeId> {
+    let mut edge_set: FxHashSet<EdgeId> = FxHashSet::default();
+    for ce in mst {
+        let e = EdgeId(ce.payload as u32);
+        let edge = g.edge(e);
+        edge_set.insert(e);
+        scratch.clear();
+        dij.append_path_to_origin(g, edge.src, scratch);
+        dij.append_path_to_origin(g, edge.dst, scratch);
+        edge_set.extend(scratch.iter().copied());
+    }
+    edge_set
 }
 
 /// Kruskal restricted to `edges`, returning a spanning forest of the
@@ -1525,6 +1524,116 @@ mod tests {
                     proptest::prop_assert_eq!(sub.sorted_edges(), want_sub.sorted_edges());
                     proptest::prop_assert_eq!(sub.sorted_nodes(), want_sub.sorted_nodes());
                 }
+            }
+        }
+    }
+
+    /// One ST-fast tree edge: terminal indices, cost bits, bridge id.
+    type BridgeEdge = (usize, usize, u64, EdgeId);
+
+    /// ST-fast's steps 1–3 as they were before the bounded pass, which
+    /// it must reproduce: the exhaustive `run_voronoi`, then every edge
+    /// in id order, keeping per pair the first bridge of least cost
+    /// (strict `<`), then Kruskal and the expansion. Returns the tree,
+    /// the expanded edge set (sorted) and the final subgraph.
+    fn exhaustive_fast_reference(
+        g: &Graph,
+        costs: &EdgeCosts,
+        terms: &[NodeId],
+    ) -> (Vec<BridgeEdge>, Vec<EdgeId>, Subgraph, usize) {
+        let t = terms.len();
+        let mut dij = DijkstraWorkspace::new();
+        dij.run_voronoi(g, costs, terms);
+        let mut best = vec![(f64::INFINITY, u32::MAX); t * t];
+        for e in g.edge_ids() {
+            let edge = g.edge(e);
+            if let (Some(ou), Some(ov)) = (dij.origin_of(edge.src), dij.origin_of(edge.dst)) {
+                if ou != ov {
+                    let du = dij.distance(edge.src).unwrap();
+                    let dv = dij.distance(edge.dst).unwrap();
+                    let cost = du + costs.get(e) + dv;
+                    let idx = (ou.min(ov) as usize) * t + ou.max(ov) as usize;
+                    if cost < best[idx].0 {
+                        best[idx] = (cost, e.0);
+                    }
+                }
+            }
+        }
+        let mut closure = Vec::new();
+        for a in 0..t {
+            for b in (a + 1)..t {
+                let (cost, e) = best[a * t + b];
+                if e != u32::MAX {
+                    closure.push(MstEdge {
+                        a,
+                        b,
+                        cost,
+                        payload: e as usize,
+                    });
+                }
+            }
+        }
+        let mst = kruskal(t, &closure);
+        let edge_set = expand_bridges(g, &dij, &mst, &mut Vec::new());
+        let sub = finish_tree(g, costs, &edge_set, terms);
+        (
+            bridge_tree(&mst),
+            sorted(edge_set),
+            sub,
+            dij.settled_count(),
+        )
+    }
+
+    fn bridge_tree(mst: &[MstEdge]) -> Vec<BridgeEdge> {
+        mst.iter()
+            .map(|e| (e.a, e.b, e.cost.to_bits(), EdgeId(e.payload as u32)))
+            .collect()
+    }
+
+    fn sorted(set: FxHashSet<EdgeId>) -> Vec<EdgeId> {
+        let mut v: Vec<EdgeId> = set.into_iter().collect();
+        v.sort_unstable();
+        v
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn bounded_voronoi_pass_matches_exhaustive_scan(
+            (g, costs, terminals) in arb_closure_case(),
+            tenths in proptest::prelude::any::<bool>(),
+        ) {
+            // Steps of 0.1 instead of 0.5: sums then round, so a bridge
+            // summed against its edge's orientation shows in the bits.
+            let costs = match tenths {
+                true => EdgeCosts(costs.0.iter().map(|c| c * 0.2).collect()),
+                false => costs,
+            };
+            let mut terms = terminals.clone();
+            terms.sort_unstable();
+            terms.dedup();
+            let mut ws = SteinerWorkspace::new();
+            if terms.len() < 2 {
+                let sub = steiner_tree_fast_with(&g, &costs, &terminals, &mut ws);
+                proptest::prop_assert_eq!(sub.sorted_nodes(), terms);
+                return Ok(());
+            }
+            let (want_tree, want_edges, want_sub, exhaustive) =
+                exhaustive_fast_reference(&g, &costs, &terms);
+            // Twice through one workspace, with a KMB summary between:
+            // no stamp, bridge or stop-rule state may leak across passes.
+            for _ in 0..2 {
+                let sub = steiner_tree_fast_with(&g, &costs, &terminals, &mut ws);
+                let mst = kruskal(terms.len(), &ws.closure);
+                proptest::prop_assert_eq!(&bridge_tree(&mst), &want_tree);
+                let dij = &ws.workers[0].dij;
+                let edges = sorted(expand_bridges(&g, dij, &mst, &mut Vec::new()));
+                proptest::prop_assert_eq!(&edges, &want_edges);
+                proptest::prop_assert_eq!(sub.sorted_edges(), want_sub.sorted_edges());
+                proptest::prop_assert_eq!(sub.sorted_nodes(), want_sub.sorted_nodes());
+                proptest::prop_assert!(ws.last_closure_settled() <= exhaustive);
+                steiner_tree_with(&g, &costs, &terminals, &mut ws);
             }
         }
     }

@@ -7,7 +7,7 @@
 //! targets has been settled (the common case: terminals are a tiny fraction
 //! of the ML1M graph's 19,844 nodes).
 //!
-//! Two entry points:
+//! Entry points:
 //!
 //! * [`DijkstraWorkspace::run`] — the hot path. The workspace owns the
 //!   `dist` / `parent` buffers, an [`IndexedDaryHeap`], and
@@ -25,12 +25,22 @@
 //!   skip the terminal pairs Kruskal can never pick (see
 //!   `xsum_core::steiner`); `run` is `run_bounded` with an infinite
 //!   radius.
+//! * [`DijkstraWorkspace::run_voronoi`] — a multi-source run grown to
+//!   exhaustion: every reachable node learns its nearest source (its
+//!   Voronoi cell), its distance to it and the path back.
+//! * [`DijkstraWorkspace::run_voronoi_bounded`] — Mehlhorn's Voronoi
+//!   pass with the bridge scan fused in ([`VoronoiBridges`] keeps the
+//!   cheapest edge between each pair of cells), stopped as soon as no
+//!   unseen bridge can enter the bridges' minimum spanning tree. It
+//!   settles a prefix of `run_voronoi`'s settle order; the two share
+//!   one relaxation loop.
 //! * [`dijkstra`] — the allocating convenience wrapper returning an owned
 //!   [`DijkstraResult`]; it drives a fresh workspace internally.
 //!
-//! After an early exit (all targets settled, or the radius reached) the
-//! nodes on the frontier — discovered but not settled — still report
-//! their tentative distance, an upper bound on the true one.
+//! After an early exit (all targets settled, the radius reached, or the
+//! Voronoi pass's stop rule met) the nodes on the frontier — discovered
+//! but not settled — still report their tentative distance, an upper
+//! bound on the true one.
 //! [`DijkstraWorkspace::is_settled`] tells the two apart, and
 //! [`DijkstraWorkspace::settled_count`] reports how many nodes the run
 //! settled, a work counter that does not depend on the machine.
@@ -59,6 +69,8 @@
 use crate::dheap::IndexedDaryHeap;
 use crate::graph::{EdgeCosts, Graph};
 use crate::ids::{EdgeId, NodeId};
+use crate::mst::MstEdge;
+use crate::unionfind::UnionFind;
 
 /// Output of a Dijkstra run: distances and the parent edge of each settled
 /// node, from which paths are reconstructed.
@@ -305,8 +317,10 @@ impl DijkstraWorkspace {
     /// graph around the sources, the heart of Mehlhorn's
     /// metric-closure acceleration).
     ///
-    /// Runs to exhaustion (every reachable node needs its cell). Read
-    /// back with [`DijkstraWorkspace::distance`],
+    /// Runs to exhaustion (every reachable node gets its cell); when only
+    /// the cheapest bridges between cells are wanted,
+    /// [`DijkstraWorkspace::run_voronoi_bounded`] stops much earlier.
+    /// Read back with [`DijkstraWorkspace::distance`],
     /// [`DijkstraWorkspace::origin_of`] and
     /// [`DijkstraWorkspace::append_path_to_origin`]. Ties between
     /// sources resolve deterministically (cost, then node id, through
@@ -315,22 +329,80 @@ impl DijkstraWorkspace {
     /// # Panics
     /// Panics (debug) on negative edge costs.
     pub fn run_voronoi(&mut self, g: &Graph, costs: &EdgeCosts, sources: &[NodeId]) {
+        self.seed_cells(g, costs, sources);
+        self.grow_cells(g, costs, &mut ());
+    }
+
+    /// [`DijkstraWorkspace::run_voronoi`] with the bridge scan fused in
+    /// and a stop rule: Mehlhorn's steps 1 and 2 in one pass.
+    ///
+    /// When a node settles, every already-settled neighbour in another
+    /// cell gives a bridge between the two cells' sources, at cost
+    /// `d(src) + c(e) + d(dst)` summed in the edge's own orientation.
+    /// `bridges` keeps the cheapest one per pair of cells, the minimum by
+    /// (cost, edge id); bridges of infinite cost are never kept.
+    ///
+    /// Once the bridges connect every cell, let `M` be the heaviest edge
+    /// of their minimum spanning tree. The pass stops at the first pop
+    /// key `k` with `2k > M` (plus a few ulps of slack for rounding): a
+    /// bridge it has not seen has an endpoint `v` still unsettled, and
+    /// `d(u) + c(e) + d(v) ≥ 2·d(v) ≥ 2k`, so it costs more than `M` and
+    /// can only improve pairs that cost more than `M`. Kruskal then picks
+    /// the same tree, with the same pairs, bridge ids and cost bits, as
+    /// over the bridges of the exhaustive pass plus a full edge scan. `M`
+    /// only falls as bridges are found, so it is re-derived on a halving
+    /// schedule — when `k` has covered half the way from the last check
+    /// to the current stop key — rather than after every improvement. If
+    /// the cells never connect (a source is unreachable from another),
+    /// the pass runs to exhaustion, as `run_voronoi` does.
+    ///
+    /// It settles a prefix of `run_voronoi`'s settle order, with the same
+    /// distance, parent and cell bits, so every read-back accessor
+    /// answers as after `run_voronoi` for every settled node (and for the
+    /// endpoints of every kept bridge, which are settled).
+    /// [`DijkstraWorkspace::settled_count`] reports the prefix's length.
+    ///
+    /// # Panics
+    /// Panics (debug) on negative edge costs.
+    pub fn run_voronoi_bounded(
+        &mut self,
+        g: &Graph,
+        costs: &EdgeCosts,
+        sources: &[NodeId],
+        bridges: &mut VoronoiBridges,
+    ) {
+        let cells = self.seed_cells(g, costs, sources);
+        bridges.start(sources.len(), cells);
+        let mut scan = BridgeScan {
+            bridges,
+            g,
+            cost_of: costs.as_slice(),
+            node: NodeId(0),
+            cell: 0,
+            dist: 0.0,
+        };
+        self.grow_cells(g, costs, &mut scan);
+    }
+
+    /// Start a multi-source run: stamp every source at distance 0 in its
+    /// own cell and queue it. Returns the number of distinct sources; a
+    /// duplicate keeps its first index and opens no cell.
+    fn seed_cells(&mut self, g: &Graph, costs: &EdgeCosts, sources: &[NodeId]) -> usize {
         debug_assert_eq!(
             costs.len(),
             g.edge_count(),
             "cost table must cover all edges"
         );
-        let n = g.node_count();
-        self.next_generation(n);
+        self.next_generation(g.node_count());
         let generation = self.generation;
         // With several sources there is no single root; `source` is used
         // as the parent-chain sentinel, so pick the first (paths stop at
         // parent == None anyway).
         self.source = sources.first().copied().unwrap_or(NodeId(0));
 
+        let mut cells = 0;
         for (i, &s) in sources.iter().enumerate() {
             let si = s.index();
-            // A duplicate source keeps its first index (dist 0 either way).
             if self.stamp[si] == generation {
                 continue;
             }
@@ -339,15 +411,25 @@ impl DijkstraWorkspace {
             self.origin[si] = i as u32;
             self.stamp[si] = generation;
             self.heap.push(s.0, s.0, 0.0);
+            cells += 1;
         }
+        cells
+    }
 
-        // Same CSR-resident relaxation as `run`, growing every cell to
-        // exhaustion.
+    /// The multi-source relaxation loop: the same CSR-resident
+    /// relaxation as `run`, carrying each node's cell to its neighbours,
+    /// with `hook` told of every pop and of every already-settled
+    /// neighbour met on a settling node's row.
+    fn grow_cells(&mut self, g: &Graph, costs: &EdgeCosts, hook: &mut impl CellHook) {
+        let generation = self.generation;
         let csr = g.csr_view();
         let cost_of = costs.as_slice();
         let mut settled = 0;
         while let Some((cost, _, node)) = self.heap.pop() {
             let node = NodeId(node);
+            if !hook.pop(self, node, cost) {
+                break;
+            }
             debug_assert_ne!(self.settled[node.index()], generation);
             self.settled[node.index()] = generation;
             settled += 1;
@@ -355,6 +437,7 @@ impl DijkstraWorkspace {
             for &(next, e) in csr.row(node) {
                 let ni = next.index();
                 if self.settled[ni] == generation {
+                    hook.settled_neighbour(self, next, e);
                     continue;
                 }
                 let w = cost_of[e.index()];
@@ -509,6 +592,223 @@ impl DijkstraWorkspace {
             dist,
             parent_edge,
         }
+    }
+}
+
+/// What a multi-source run does besides growing its cells.
+trait CellHook {
+    /// `node` leaves the heap at `key` (its final distance), before it
+    /// settles; `false` ends the run with `node` unsettled.
+    fn pop(&mut self, ws: &DijkstraWorkspace, node: NodeId, key: f64) -> bool;
+    /// The node settling since the last `pop` has edge `e` to `next`,
+    /// which settled before it.
+    fn settled_neighbour(&mut self, ws: &DijkstraWorkspace, next: NodeId, e: EdgeId);
+}
+
+/// `run_voronoi`: grow every cell to exhaustion, nothing more.
+impl CellHook for () {
+    #[inline]
+    fn pop(&mut self, _: &DijkstraWorkspace, _: NodeId, _: f64) -> bool {
+        true
+    }
+    #[inline]
+    fn settled_neighbour(&mut self, _: &DijkstraWorkspace, _: NodeId, _: EdgeId) {}
+}
+
+/// `run_voronoi_bounded`: the stop rule at each pop, and a bridge for
+/// each settled neighbour in another cell.
+struct BridgeScan<'a> {
+    bridges: &'a mut VoronoiBridges,
+    g: &'a Graph,
+    cost_of: &'a [f64],
+    /// The settling node, its cell and its distance.
+    node: NodeId,
+    cell: u32,
+    dist: f64,
+}
+
+impl CellHook for BridgeScan<'_> {
+    #[inline]
+    fn pop(&mut self, ws: &DijkstraWorkspace, node: NodeId, key: f64) -> bool {
+        let b = &mut *self.bridges;
+        if key >= b.next_check {
+            if b.dirty {
+                b.heaviest = b.heaviest_tree_bridge();
+                // Summed in its edge's orientation, an unseen bridge can
+                // round to as little as 2k(1 − 2.5u) (u the unit
+                // roundoff), so the stop key sits 8u above half of
+                // `heaviest`: every unseen bridge stays strictly above it.
+                b.stop_above = b.heaviest * (0.5 + 2.0 * f64::EPSILON);
+                b.dirty = false;
+            }
+            b.next_check = key + (b.stop_above - key) * 0.5;
+        }
+        if key > b.stop_above {
+            return false;
+        }
+        self.node = node;
+        self.cell = ws.origin[node.index()];
+        self.dist = key;
+        true
+    }
+
+    #[inline]
+    fn settled_neighbour(&mut self, ws: &DijkstraWorkspace, next: NodeId, e: EdgeId) {
+        let other = ws.origin[next.index()];
+        if other == self.cell {
+            return;
+        }
+        let (a, b) = (self.cell.min(other) as usize, self.cell.max(other) as usize);
+        let (d, dn, c) = (self.dist, ws.dist[next.index()], self.cost_of[e.index()]);
+        // The sum in row order and the sum in the edge's orientation are
+        // two roundings each of the same total, so they differ by at most
+        // 4u of it (u the unit roundoff). A bridge this far above the
+        // pair's best cannot win: skip the edge-record read (a cache miss
+        // on large graphs) that the orientation costs.
+        let rough = d + c + dn;
+        if rough > self.bridges.best_cost(a, b) * (1.0 + 4.0 * f64::EPSILON) {
+            return;
+        }
+        let cost = if self.g.edge(e).src == self.node {
+            rough
+        } else {
+            dn + c + d
+        };
+        self.bridges.offer(a, b, cost, e);
+    }
+}
+
+/// The cheapest bridge between each pair of Voronoi cells, reduced by
+/// [`DijkstraWorkspace::run_voronoi_bounded`] as its cells grow, plus
+/// that pass's stop-rule state. Reused across passes, it allocates only
+/// when a pass has more sources than any before it.
+#[derive(Debug, Default)]
+pub struct VoronoiBridges {
+    /// Source count of the current pass: the side of `best`.
+    cells: usize,
+    /// Dense `cells × cells` matrix, upper triangle used: the cheapest
+    /// bridge per pair of cells as `(cost, edge id)`, `u32::MAX` for none.
+    best: Vec<(f64, u32)>,
+    /// Indices into `best` of the pairs holding a bridge.
+    found: Vec<usize>,
+    /// Cells joined by the bridges found so far.
+    joined: UnionFind,
+    /// Unions still needed before the bridges connect every cell.
+    open: usize,
+    /// Heaviest edge of the bridges' minimum spanning tree at the last
+    /// check (∞ before it).
+    heaviest: f64,
+    /// A pair cheaper than `heaviest` appeared or improved since then.
+    dirty: bool,
+    /// Pop key past which the pass stops (∞ until the cells connect).
+    stop_above: f64,
+    /// Pop key at which to re-derive `heaviest` (∞ until the cells
+    /// connect).
+    next_check: f64,
+    /// Check scratch: `(cost, index into best)` of the candidate pairs.
+    sorted: Vec<(f64, usize)>,
+    /// Check scratch: Kruskal's union-find.
+    uf: UnionFind,
+}
+
+impl VoronoiBridges {
+    /// Empty reduction (buffers grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reset for a pass over `sources` sources, `cells` of them distinct.
+    fn start(&mut self, sources: usize, cells: usize) {
+        self.cells = sources;
+        self.best.clear();
+        self.best
+            .resize(sources * sources, (f64::INFINITY, u32::MAX));
+        self.found.clear();
+        self.joined.reset(sources);
+        self.open = cells.saturating_sub(1);
+        self.heaviest = f64::INFINITY;
+        self.dirty = true;
+        self.stop_above = f64::INFINITY;
+        self.next_check = if self.open == 0 {
+            f64::NEG_INFINITY
+        } else {
+            f64::INFINITY
+        };
+    }
+
+    /// Cost of the cheapest bridge kept between cells `a < b` (∞ if none).
+    #[inline]
+    fn best_cost(&self, a: usize, b: usize) -> f64 {
+        self.best[a * self.cells + b].0
+    }
+
+    /// Reduce bridge `e` of cost `cost` between cells `a < b`.
+    fn offer(&mut self, a: usize, b: usize, cost: f64, e: EdgeId) {
+        let idx = a * self.cells + b;
+        let (best, id) = self.best[idx];
+        if id == u32::MAX {
+            if cost < f64::INFINITY {
+                self.best[idx] = (cost, e.0);
+                self.found.push(idx);
+                self.dirty |= cost < self.heaviest;
+                if self.joined.union(a, b) {
+                    self.open -= 1;
+                    if self.open == 0 {
+                        self.next_check = f64::NEG_INFINITY;
+                    }
+                }
+            }
+        } else if cost < best || (cost == best && e.0 < id) {
+            self.best[idx] = (cost, e.0);
+            self.dirty |= cost < self.heaviest;
+        }
+    }
+
+    /// The heaviest edge of the found bridges' minimum spanning tree,
+    /// which connects every cell (`-∞` for a single cell). Only pairs no
+    /// heavier than the last answer can be in it: every pair in the last
+    /// tree still is.
+    fn heaviest_tree_bridge(&mut self) -> f64 {
+        self.sorted.clear();
+        for &idx in &self.found {
+            let cost = self.best[idx].0;
+            if cost <= self.heaviest {
+                self.sorted.push((cost, idx));
+            }
+        }
+        self.sorted.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        self.uf.reset(self.cells);
+        // One union per edge of a tree spanning the distinct cells.
+        let mut needed = self.joined.len() - self.joined.component_count();
+        let mut heaviest = f64::NEG_INFINITY;
+        for &(cost, idx) in &self.sorted {
+            if needed == 0 {
+                break;
+            }
+            if self.uf.union(idx / self.cells, idx % self.cells) {
+                heaviest = cost;
+                needed -= 1;
+            }
+        }
+        debug_assert_eq!(needed, 0, "the found bridges connect every cell");
+        heaviest
+    }
+
+    /// Every kept bridge as a closure edge between cells `a < b`, with the
+    /// bridge's edge id as payload, in `(a, b)` order.
+    pub fn pairs(&self) -> impl Iterator<Item = MstEdge> + '_ {
+        let t = self.cells;
+        (0..t).flat_map(move |a| {
+            ((a + 1)..t).filter_map(move |b| {
+                let (cost, id) = self.best[a * t + b];
+                (id != u32::MAX).then_some(MstEdge {
+                    a,
+                    b,
+                    cost,
+                    payload: id as usize,
+                })
+            })
+        })
     }
 }
 

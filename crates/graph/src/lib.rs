@@ -62,7 +62,7 @@ pub mod unionfind;
 
 pub use centrality::{betweenness_centrality, closeness_centrality, degree_centrality};
 pub use dheap::IndexedDaryHeap;
-pub use dijkstra::{dijkstra, shortest_path, DijkstraResult, DijkstraWorkspace};
+pub use dijkstra::{dijkstra, shortest_path, DijkstraResult, DijkstraWorkspace, VoronoiBridges};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use graph::{CsrView, Edge, EdgeCosts, EdgeKind, Graph, GraphBuilder, WeightDeltaRec};
 pub use ids::{EdgeId, NodeId, NodeKind};

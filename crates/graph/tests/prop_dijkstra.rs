@@ -15,7 +15,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use xsum_graph::{prim, DijkstraWorkspace, EdgeCosts, EdgeId, EdgeKind, Graph, NodeId, NodeKind};
+use xsum_graph::{
+    prim, DijkstraWorkspace, EdgeCosts, EdgeId, EdgeKind, Graph, NodeId, NodeKind, VoronoiBridges,
+};
 
 /// The legacy max-heap entry inverted into a min-heap on cost, ties on
 /// node id — copied from the pre-indexed-heap `dijkstra.rs`.
@@ -51,6 +53,8 @@ struct LegacyRun {
     /// `stamp` visibility: exactly these nodes report a distance).
     reached: Vec<bool>,
     origin: Vec<u32>,
+    /// Voronoi runs: the nodes in the order they settled.
+    order: Vec<NodeId>,
 }
 
 /// The pre-change `DijkstraWorkspace::run`, allocating per call.
@@ -113,6 +117,7 @@ fn legacy_run(g: &Graph, costs: &EdgeCosts, source: NodeId, targets: &[NodeId]) 
         parent,
         reached,
         origin: Vec::new(),
+        order: Vec::new(),
     }
 }
 
@@ -124,6 +129,7 @@ fn legacy_voronoi(g: &Graph, costs: &EdgeCosts, sources: &[NodeId]) -> LegacyRun
     let mut reached = vec![false; n];
     let mut settled = vec![false; n];
     let mut origin = vec![0u32; n];
+    let mut order = Vec::new();
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
 
     for (i, &s) in sources.iter().enumerate() {
@@ -141,6 +147,7 @@ fn legacy_voronoi(g: &Graph, costs: &EdgeCosts, sources: &[NodeId]) -> LegacyRun
             continue;
         }
         settled[node.index()] = true;
+        order.push(node);
         let node_origin = origin[node.index()];
         for &(next, e) in g.neighbors(node) {
             let ni = next.index();
@@ -165,6 +172,7 @@ fn legacy_voronoi(g: &Graph, costs: &EdgeCosts, sources: &[NodeId]) -> LegacyRun
         parent,
         reached,
         origin,
+        order,
     }
 }
 
@@ -396,6 +404,55 @@ proptest! {
                 }
             }
             prop_assert_eq!(bounded.settled_count(), kept);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `run_voronoi_bounded` is `run_voronoi` cut short: it settles a
+    /// prefix of `run_voronoi`'s settle order, with the same distance,
+    /// parent and cell bits, and every bridge it keeps joins two settled
+    /// nodes of the two cells it names.
+    #[test]
+    fn bounded_voronoi_settles_a_prefix_of_run_voronoi(
+        (g, picks, src) in arb_case(),
+        shift in 0usize..2,
+    ) {
+        // Shifting the 0.5-step grid down by one step adds zero-cost edges.
+        let costs = EdgeCosts(g.edge_ids().map(|e| g.weight(e) - 0.5 * shift as f64).collect());
+        let n = g.node_count();
+        let mut sources: Vec<NodeId> = vec![NodeId(src as u32)];
+        sources.extend(picks.iter().filter(|p| **p < n).map(|&p| NodeId(p as u32)));
+        let full = legacy_voronoi(&g, &costs, &sources);
+        let mut ws = DijkstraWorkspace::new();
+        let mut bridges = VoronoiBridges::new();
+        // Twice through one workspace, with an exhaustive pass between:
+        // neither may see the other's stamps or bridges.
+        for _ in 0..2 {
+            ws.run_voronoi_bounded(&g, &costs, &sources, &mut bridges);
+            let kept = ws.settled_count();
+            prop_assert!(kept <= full.order.len());
+            for (i, &v) in full.order.iter().enumerate() {
+                prop_assert_eq!(ws.is_settled(v), i < kept, "node {} at settle step {}", v.index(), i);
+            }
+            let parents = ws.to_result(n).parent_edge;
+            for &v in &full.order[..kept] {
+                let vi = v.index();
+                prop_assert_eq!(ws.distance(v).map(f64::to_bits), Some(full.dist[vi].to_bits()));
+                prop_assert_eq!(parents[vi], full.parent[vi]);
+                prop_assert_eq!(ws.origin_of(v), Some(full.origin[vi]));
+            }
+            for pair in bridges.pairs() {
+                let edge = g.edge(EdgeId(pair.payload as u32));
+                prop_assert!(ws.is_settled(edge.src) && ws.is_settled(edge.dst));
+                let mut cells = [full.origin[edge.src.index()], full.origin[edge.dst.index()]];
+                cells.sort_unstable();
+                prop_assert_eq!(cells, [pair.a as u32, pair.b as u32]);
+            }
+            ws.run_voronoi(&g, &costs, &sources);
+            assert_matches_legacy(&g, &ws, &full, true)?;
         }
     }
 }
