@@ -20,8 +20,8 @@
 //! `bench_traffic` replays the seeded open-loop arrival tape (Zipf
 //! inputs, on/off bursts, mixed methods, mutation barriers) at fixed
 //! offered loads and *merges* the `traffic_*` keys — p50/p99/p99.9
-//! ticket latency, offered-vs-served ratio, shed/expiry/degrade
-//! counts — into `BENCH_batch.json`, leaving every other key as
+//! ticket latency, offered-vs-served ratio, served/failed counts —
+//! into `BENCH_batch.json`, leaving every other key as
 //! `bench_batch` wrote it. `bench_mutation` measures the delta-aware
 //! mutation pipeline — O(|touched|) ledger patching vs a rebuild-from-
 //! scratch oracle, and serving throughput with a live non-barrier
@@ -149,9 +149,6 @@ fn merge_traffic_keys(path: &str, report: &xsum_bench::traffic::TrafficReport) {
             "  \"traffic_p999_latency_ms\": {:.6},\n",
             "  \"traffic_submitted\": {},\n",
             "  \"traffic_served\": {},\n",
-            "  \"traffic_shed\": {},\n",
-            "  \"traffic_expired\": {},\n",
-            "  \"traffic_degraded\": {},\n",
             "  \"traffic_failed\": {},\n",
             "  \"traffic_mutations\": {}"
         ),
@@ -163,9 +160,6 @@ fn merge_traffic_keys(path: &str, report: &xsum_bench::traffic::TrafficReport) {
         report.p999_ms,
         report.submitted,
         report.served,
-        report.shed,
-        report.expired,
-        report.degraded,
         report.failed,
         report.mutations,
     ));
@@ -547,11 +541,6 @@ fn main() {
             for &rps in &[100.0f64, 400.0] {
                 let mut tcfg = xsum_bench::traffic::TrafficConfig::new(rps, 256);
                 tcfg.seed = args.seed;
-                tcfg.policy = xsum_core::OverloadPolicy {
-                    shed_watermark: 512,
-                    degrade_watermark: 64,
-                };
-                tcfg.expire_after = Some(std::time::Duration::from_millis(500));
                 let report = xsum_bench::traffic::run_traffic(g, &inputs, &tcfg);
                 let x = format!("{rps:.0}rps");
                 for (metric, value) in [
@@ -559,9 +548,6 @@ fn main() {
                     ("traffic_p50_latency_ms", report.p50_ms),
                     ("traffic_p99_latency_ms", report.p99_ms),
                     ("traffic_p999_latency_ms", report.p999_ms),
-                    ("traffic_shed", report.shed as f64),
-                    ("traffic_expired", report.expired as f64),
-                    ("traffic_degraded", report.degraded as f64),
                 ] {
                     rows.push(Row::new(
                         "user-centric",
@@ -579,18 +565,14 @@ fn main() {
             merge_traffic_keys("BENCH_batch.json", &report);
             eprintln!(
                 "bench_traffic: offered {:.0} rps, served {:.1} rps, p50 {:.3} ms, \
-                 p99 {:.3} ms, p99.9 {:.3} ms; {} served / {} shed / {} expired / \
-                 {} degraded / {} failed ({} mutations); merged traffic_* keys into \
-                 BENCH_batch.json",
+                 p99 {:.3} ms, p99.9 {:.3} ms; {} served / {} failed ({} mutations); \
+                 merged traffic_* keys into BENCH_batch.json",
                 report.offered_rps,
                 report.served_rps,
                 report.p50_ms,
                 report.p99_ms,
                 report.p999_ms,
                 report.served,
-                report.shed,
-                report.expired,
-                report.degraded,
                 report.failed,
                 report.mutations,
             );

@@ -9,10 +9,9 @@
 use std::sync::Arc;
 
 use xsum_core::{
-    pcst_summary, steiner_summary, summarize_batch, AdmissionConfig, AdmissionError,
-    AdmissionQueue, BatchMethod, DegradePolicy, EngineBackend, FaultInjector, FaultPlan,
-    OverloadPolicy, PcstConfig, ShardedEngine, SteinerConfig, SubmitOptions, SummaryEngine,
-    SummaryInput,
+    pcst_summary, steiner_summary, summarize_batch, AdmissionConfig, AdmissionQueue, BatchMethod,
+    EngineBackend, FaultInjector, FaultPlan, PcstConfig, ShardedEngine, SteinerConfig,
+    SummaryEngine, SummaryInput,
 };
 use xsum_datasets::{random_explanation_path, scaling::scaling_graph_scaled, ScalingLevel};
 use xsum_graph::NodeId;
@@ -114,13 +113,6 @@ pub struct BatchBenchReport {
     /// no hook at all — the PR 6 hooks must be branch-predictable dead
     /// weight when unset, so this should sit within run-to-run noise.
     pub fault_hooks_overhead_pct: f64,
-    /// 99th-percentile submit→resolve latency (ms) of *served* tickets
-    /// with load shedding active under producer overload.
-    pub admission_shed_p99_ms: f64,
-    /// Coalesced throughput (summaries / second) with the graceful-
-    /// degradation policy active: opted-in Steiner traffic downgraded
-    /// to ST-fast whenever the queue crosses the degrade watermark.
-    pub admission_degraded_per_sec: f64,
     /// The ROADMAP "richer BENCH trajectory" sweep: the same workload
     /// recipe measured at *every* synthetic scaling level G1–G5, one
     /// [`LevelPoint`] per level (the G5 point uses this lighter shared
@@ -191,9 +183,7 @@ impl BatchBenchReport {
                 "  \"admission_coalesced_summaries_per_sec\": {:.3},\n",
                 "  \"admission_p50_latency_ms\": {:.6},\n",
                 "  \"admission_p99_latency_ms\": {:.6},\n",
-                "  \"fault_hooks_overhead_pct\": {:.3},\n",
-                "  \"admission_shed_p99_latency_ms\": {:.6},\n",
-                "  \"admission_degraded_summaries_per_sec\": {:.3}"
+                "  \"fault_hooks_overhead_pct\": {:.3}"
             ),
             self.level,
             self.batch_size,
@@ -218,8 +208,6 @@ impl BatchBenchReport {
             self.admission_p50_ms,
             self.admission_p99_ms,
             self.fault_hooks_overhead_pct,
-            self.admission_shed_p99_ms,
-            self.admission_degraded_per_sec,
         );
         for lp in &self.levels {
             out.push_str(&format!(
@@ -511,43 +499,6 @@ pub fn batch_bench(
     let fault_hooks_overhead_pct =
         trimmed_mean(&mut hook_deltas) / trimmed_mean(&mut plain_times).max(1e-12) * 100.0;
 
-    // Shed p99: the same open-loop producers against a shed watermark
-    // far below what they enqueue, so the queue stays pinned at the
-    // watermark and the p99 reflects only tickets that were served.
-    let shed_policy = OverloadPolicy {
-        shed_watermark: (inputs.len() / 2).max(4),
-        degrade_watermark: 0,
-    };
-    let (_, _, admission_shed_p99_ms) = admission_run_with(
-        g,
-        &inputs,
-        4,
-        8,
-        BATCH_REPS,
-        shed_policy,
-        SubmitOptions::default(),
-    );
-
-    // Degraded throughput: every producer opts into ST-fast fallback
-    // and the watermark sits low, so queued overload is served by the
-    // Mehlhorn closure instead of full KMB.
-    let degrade_policy = OverloadPolicy {
-        shed_watermark: 0,
-        degrade_watermark: 4,
-    };
-    let (admission_degraded_per_sec, _, _) = admission_run_with(
-        g,
-        &inputs,
-        4,
-        8,
-        BATCH_REPS,
-        degrade_policy,
-        SubmitOptions {
-            degrade: DegradePolicy::AllowStFast,
-            ..Default::default()
-        },
-    );
-
     // Sharded scatter/gather throughput at 2 and 4 replicas over the
     // full batch — the per-shard-count trajectory keys. Replicas split
     // the machine's thread budget, so at laptop scale this measures
@@ -591,8 +542,6 @@ pub fn batch_bench(
         admission_p50_ms,
         admission_p99_ms,
         fault_hooks_overhead_pct,
-        admission_shed_p99_ms,
-        admission_degraded_per_sec,
         levels,
     }
 }
@@ -678,59 +627,30 @@ fn admission_run(
     linger: usize,
     rounds: usize,
 ) -> (f64, f64, f64) {
-    admission_run_with(
-        g,
-        inputs,
-        producers,
-        linger,
-        rounds,
-        OverloadPolicy::default(),
-        SubmitOptions::default(),
-    )
-}
-
-/// [`admission_run`] generalized over the PR 6 overload knobs: an
-/// [`OverloadPolicy`] on the queue and per-submission [`SubmitOptions`].
-/// Tickets shed by the watermark resolve `DeadlineExceeded` and are
-/// excluded from both the throughput numerator and the latency
-/// percentiles — the figures describe *served* work only.
-fn admission_run_with(
-    g: &xsum_graph::Graph,
-    inputs: &[SummaryInput],
-    producers: usize,
-    linger: usize,
-    rounds: usize,
-    policy: OverloadPolicy,
-    opts: SubmitOptions,
-) -> (f64, f64, f64) {
     let method = BatchMethod::Steiner(SteinerConfig::default());
-    let queue = AdmissionQueue::with_policy(
+    let queue = AdmissionQueue::new(
         EngineBackend::new(g.clone(), SummaryEngine::new()),
         AdmissionConfig {
             queue_bound: 1024,
             max_batch: 32,
             linger_tickets: linger,
         },
-        policy,
     );
     // Warmup round (uncounted): spin the dispatcher, engine buffers,
-    // and cost-model cache up. Plain submits — warmup must serve even
-    // under a shedding policy (it stays under any realistic watermark
-    // only by luck, so tolerate shed warmup tickets too).
+    // and cost-model cache up.
     for input in inputs {
         let _ = queue.submit(input.clone(), method).expect("queue is live");
     }
     queue.drain();
 
     let latencies = std::sync::Mutex::new(Vec::with_capacity(rounds * inputs.len()));
-    let served = std::sync::atomic::AtomicU64::new(0);
     let t0 = std::time::Instant::now();
     for _ in 0..rounds {
         // xlint: allow(rogue-spawn) — closed-loop producer fan-out for the
         // latency bench; scoped and joined every round, panics propagate.
         std::thread::scope(|scope| {
             for p in 0..producers {
-                let (queue, latencies, served) = (&queue, &latencies, &served);
+                let (queue, latencies) = (&queue, &latencies);
                 scope.spawn(move || {
                     let submitted: Vec<_> = inputs
                         .iter()
@@ -738,22 +658,15 @@ fn admission_run_with(
                         .step_by(producers.max(1))
                         .map(|input| {
                             let t = std::time::Instant::now();
-                            let ticket = queue
-                                .submit_with(input.clone(), method, opts)
-                                .expect("queue is live");
+                            let ticket =
+                                queue.submit(input.clone(), method).expect("queue is live");
                             (t, ticket)
                         })
                         .collect();
                     let mut local = Vec::with_capacity(submitted.len());
                     for (t, ticket) in submitted {
-                        match ticket.wait() {
-                            Ok(_) => {
-                                served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                local.push(t.elapsed().as_secs_f64());
-                            }
-                            Err(AdmissionError::DeadlineExceeded) => {} // shed under overload
-                            Err(e) => panic!("well-formed input serves: {e:?}"),
-                        }
+                        ticket.wait().expect("well-formed input serves");
+                        local.push(t.elapsed().as_secs_f64());
                     }
                     latencies
                         .lock()
@@ -772,8 +685,7 @@ fn admission_run_with(
         }
         lat[((lat.len() as f64 * q) as usize).min(lat.len() - 1)] * 1e3
     };
-    let served = served.load(std::sync::atomic::Ordering::Relaxed) as f64;
-    (served / total.max(1e-12), pct(0.50), pct(0.99))
+    (lat.len() as f64 / total.max(1e-12), pct(0.50), pct(0.99))
 }
 
 /// `repro bench_admission`: the coalesced-throughput / ticket-latency

@@ -19,9 +19,9 @@
 //!   structure.
 //! * **`wall-clock-in-dispatcher`** — `Instant::now` / `SystemTime::
 //!   now` in `admission.rs`. The coalescing linger window is
-//!   ticket-count based by design; wall-clock reads are only
-//!   legitimate for caller-side deadlines and expiry stamps, and each
-//!   audited site carries an allow saying which it is.
+//!   ticket-count based by design; the only legitimate wall-clock
+//!   reads are caller- or consumer-side wait bounds, and each audited
+//!   site carries an allow saying which it is.
 //! * **`sync-facade`** — `std::sync::Mutex` / `Condvar` / `Atomic*` /
 //!   `std::thread::{spawn,scope,…}` in the model-checked layer
 //!   (`crates/graph/src`, `crates/core/src`). Those modules must go
@@ -272,8 +272,8 @@ fn check_line(path: &str, code: &str, compact: &str) -> Vec<(&'static str, Strin
         hits.push((
             "wall-clock-in-dispatcher",
             "the linger window is ticket-count based, never timed; a \
-             wall-clock read here must be a caller-side deadline or an \
-             expiry stamp, and must say which"
+             wall-clock read here must be a caller- or consumer-side \
+             wait bound, and must say which"
                 .to_string(),
         ));
     }

@@ -12,13 +12,16 @@
 //! exponential interarrivals at the configured offered rate shaped by
 //! an on/off burst cycle, Zipf-popular input selection (a few hot
 //! users dominate, as in any recommender's query log), a mixed method
-//! population (KMB / Mehlhorn / PCST), per-request degradation opt-ins,
-//! and occasional [`AdmissionQueue::mutate`] barriers standing in for
-//! rating updates. [`run_traffic_on`] replays a tape against any
-//! queue — one paced producer thread, one consumer draining a
-//! [`TicketSet`] via [`TicketSet::wait_any_timeout`] — and reports
-//! served-rate and p50/p99/p99.9 submit→resolve latency plus the
-//! shed / expired / degraded counts the overload policy produced.
+//! population (KMB / Mehlhorn / PCST), and occasional
+//! [`AdmissionQueue::mutate`] barriers standing in for rating updates.
+//! Each summary arrival also carries a `degrade` flag drawn from
+//! [`TrafficConfig::degrade_fraction`]. The queue serves every request
+//! with the method it asked for, so replays ignore the flag, but the
+//! draw stays: removing it would shift every later arrival of every
+//! seeded tape. [`run_traffic_on`] replays a tape against any queue —
+//! one paced producer thread, one consumer draining a [`TicketSet`] via
+//! [`TicketSet::wait_any_timeout`] — and reports served-rate and
+//! p50/p99/p99.9 submit→resolve latency.
 //! `repro bench_traffic` records the [`TrafficReport`] into
 //! `BENCH_batch.json` as the `traffic_*` keys; the seeded tape is also
 //! what the chaos case in `tests/prop_faults.rs` replays against a
@@ -32,9 +35,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xsum_core::{
-    AdmissionConfig, AdmissionError, AdmissionQueue, BatchMethod, DegradePolicy, EngineBackend,
-    OverloadPolicy, PcstConfig, SteinerConfig, SubmitOptions, SummaryEngine, SummaryInput,
-    TicketSet,
+    AdmissionConfig, AdmissionError, AdmissionQueue, BatchMethod, EngineBackend, OverloadPolicy,
+    PcstConfig, SteinerConfig, SummaryEngine, SummaryInput, TicketSet,
 };
 use xsum_graph::{EdgeId, Graph};
 
@@ -59,15 +61,15 @@ pub struct TrafficConfig {
     pub burst_boost: f64,
     /// One mutation barrier every this many arrivals (0 = none).
     pub mutation_every: usize,
-    /// Fraction of requests opting into
-    /// [`DegradePolicy::AllowStFast`].
+    /// Fraction of summary arrivals whose `degrade` flag is set. Replays
+    /// ignore the flag; only the tape carries it.
     pub degrade_fraction: f64,
-    /// Per-request wall-clock expiry budget (`None` = requests never
-    /// expire in the queue).
+    /// Not read: the queue has no wall-clock expiry. Kept, like
+    /// `policy`, because `perfbench`'s tape builder names every field.
     pub expire_after: Option<Duration>,
     /// Queue shape for [`run_traffic`].
     pub admission: AdmissionConfig,
-    /// Overload watermarks for [`run_traffic`].
+    /// Not read: [`OverloadPolicy`] has no fields.
     pub policy: OverloadPolicy,
 }
 
@@ -103,7 +105,8 @@ pub enum ArrivalKind {
         input: usize,
         /// Method (and config) to request.
         method: BatchMethod,
-        /// Whether this request opted into ST-fast degradation.
+        /// Drawn from [`TrafficConfig::degrade_fraction`]; replays
+        /// ignore it.
         degrade: bool,
     },
     /// Apply a [`Graph::set_weight`] barrier.
@@ -209,12 +212,6 @@ pub struct TrafficReport {
     pub submitted: u64,
     /// Tickets that resolved with a summary.
     pub served: u64,
-    /// Tickets shed by the overload watermark.
-    pub shed: u64,
-    /// Tickets that hit their wall-clock expiry while queued.
-    pub expired: u64,
-    /// Requests downgraded `Steiner` → `SteinerFast` at admission.
-    pub degraded: u64,
     /// Tickets that resolved with a backend error (fault injection).
     pub failed: u64,
     /// Mutation barriers applied.
@@ -234,8 +231,8 @@ pub struct TrafficReport {
 /// loop); the calling thread is the consumer, multiplexing every
 /// outstanding ticket through one [`TicketSet`] and harvesting
 /// completions in whatever order the backend produces them. Every
-/// admitted ticket is accounted for exactly once — served, shed,
-/// expired, or failed — before this returns.
+/// admitted ticket is accounted for exactly once — served or failed —
+/// before this returns.
 pub fn run_traffic_on(
     queue: &AdmissionQueue,
     inputs: &[SummaryInput],
@@ -256,7 +253,6 @@ pub fn run_traffic_on(
 
     let mut latencies: Vec<f64> = Vec::with_capacity(tape.len());
     let mut served = 0u64;
-    let mut shed_or_expired = 0u64;
     let mut failed = 0u64;
     let mut resolved = 0u64;
 
@@ -275,22 +271,9 @@ pub fn run_traffic_on(
                     std::thread::sleep(remaining);
                 }
                 match arrival.kind {
-                    ArrivalKind::Summary {
-                        input,
-                        method,
-                        degrade,
-                    } => {
-                        let opts = SubmitOptions {
-                            deadline: None,
-                            expires_at: cfg.expire_after.map(|d| Instant::now() + d),
-                            degrade: if degrade {
-                                DegradePolicy::AllowStFast
-                            } else {
-                                DegradePolicy::Strict
-                            },
-                        };
+                    ArrivalKind::Summary { input, method, .. } => {
                         submit_ns[tag].store(start.elapsed().as_nanos() as u64, Ordering::Release);
-                        match queue.submit_with(inputs[input].clone(), method, opts) {
+                        match queue.submit(inputs[input].clone(), method) {
                             Ok(ticket) => {
                                 admitted.fetch_add(1, Ordering::Release);
                                 set.add(tag as u64, ticket);
@@ -304,7 +287,7 @@ pub fn run_traffic_on(
                                 let mut c = counts.lock().unwrap_or_else(PoisonError::into_inner);
                                 if queue.recover().is_ok() {
                                     drop(c);
-                                    match queue.submit_with(inputs[input].clone(), method, opts) {
+                                    match queue.submit(inputs[input].clone(), method) {
                                         Ok(ticket) => {
                                             admitted.fetch_add(1, Ordering::Release);
                                             set.add(tag as u64, ticket);
@@ -356,7 +339,6 @@ pub fn run_traffic_on(
                             let now = start.elapsed().as_nanos() as u64;
                             latencies.push(now.saturating_sub(t0) as f64 * 1e-9);
                         }
-                        Err(AdmissionError::DeadlineExceeded) => shed_or_expired += 1,
                         Err(_) => failed += 1,
                     }
                 }
@@ -379,11 +361,10 @@ pub fn run_traffic_on(
         }
         latencies[((latencies.len() as f64 * q) as usize).min(latencies.len() - 1)] * 1e3
     };
-    let stats = queue.stats();
     let (mutations, mutation_failures, refused) =
         *counts.lock().unwrap_or_else(PoisonError::into_inner);
     debug_assert_eq!(
-        served + shed_or_expired + failed,
+        served + failed,
         resolved,
         "every resolution lands in exactly one bucket"
     );
@@ -395,9 +376,6 @@ pub fn run_traffic_on(
         p999_ms: pct(0.999),
         submitted: admitted.load(Ordering::Acquire),
         served,
-        shed: stats.shed,
-        expired: stats.expired,
-        degraded: stats.degraded,
         failed,
         mutations,
         mutation_failures,
@@ -407,13 +385,11 @@ pub fn run_traffic_on(
 }
 
 /// [`run_traffic_on`] against a fresh single-engine queue built from
-/// `cfg.admission` / `cfg.policy` over `g` (the `repro bench_traffic`
-/// entry point).
+/// `cfg.admission` over `g` (the `repro bench_traffic` entry point).
 pub fn run_traffic(g: &Graph, inputs: &[SummaryInput], cfg: &TrafficConfig) -> TrafficReport {
-    let queue = AdmissionQueue::with_policy(
+    let queue = AdmissionQueue::new(
         EngineBackend::new(g.clone(), SummaryEngine::new()),
         cfg.admission,
-        cfg.policy,
     );
     // Warmup (uncounted): spin up the dispatcher, pool, and cost-model
     // cache so the tape measures steady state, not first-touch costs.
@@ -481,6 +457,68 @@ mod tests {
         assert_eq!(mutations, (200 - 1) / 64, "one barrier per mutation_every");
         let summaries = a.len() - mutations;
         assert_eq!(summaries, 200);
+    }
+
+    /// FNV-1a over every field of every arrival: due time (ns), kind,
+    /// input, method (with its config), degrade flag, mutation edge and
+    /// weight bits.
+    fn tape_digest(tape: &[Arrival]) -> u64 {
+        let st = SteinerConfig::default();
+        let methods = [
+            BatchMethod::Steiner(st),
+            BatchMethod::SteinerFast(st),
+            BatchMethod::Pcst(PcstConfig::default()),
+        ];
+        let mut words = Vec::new();
+        for a in tape {
+            words.push(a.at.as_nanos() as u64);
+            match a.kind {
+                ArrivalKind::Summary {
+                    input,
+                    method,
+                    degrade,
+                } => {
+                    let m = methods.iter().position(|x| *x == method);
+                    words.extend([0, input as u64, m.expect("a tape method") as u64]);
+                    words.push(degrade as u64);
+                }
+                ArrivalKind::Mutation { edge, weight } => {
+                    words.extend([1, edge.0 as u64, weight.to_bits()]);
+                }
+            }
+        }
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The seeded tapes are pinned bit for bit: a changed draw anywhere
+    /// in `schedule` (even an unused one) shifts every later arrival.
+    #[test]
+    fn seeded_tapes_are_pinned() {
+        // perfbench's `serve_wire` shape: steady Poisson, one SetWeight
+        // per 16 requests, no degrade opt-ins.
+        let wire = TrafficConfig {
+            seed: 601,
+            burst_len: 0,
+            burst_boost: 1.0,
+            mutation_every: 16,
+            degrade_fraction: 0.0,
+            ..TrafficConfig::new(100.0, 256)
+        };
+        let tape = schedule(&wire, 40, 5_000);
+        assert_eq!(
+            (tape.len(), tape_digest(&tape)),
+            (271, 0x0e11_29d2_502f_357c)
+        );
+        let tape = schedule(&TrafficConfig::new(400.0, 64), 16, 64);
+        assert_eq!(
+            (tape.len(), tape_digest(&tape)),
+            (64, 0x8e57_b2da_9e67_ca37)
+        );
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! ```text
 //!  producer threads ──submit()──► bounded queue ──► dispatcher thread
 //!       ▲   ▲                     (coalescing,          │  owns the
-//!   tickets resolve ◄─────────────  deadlines,          ▼  backend
+//!   tickets resolve ◄─────────────  FIFO order,         ▼  backend
 //!   (condvar slots)                 barriers)     SummaryEngine /
 //!                                                 ShardedEngine
 //! ```
 //!
-//! # The coalescing / deadline / backpressure contract
+//! # The coalescing / ordering / backpressure contract
 //!
 //! * **Coalescing.** Queued single-summary requests with the same
 //!   [`BatchMethod`] (compared bit-level on the f64 config params, the
@@ -30,6 +30,10 @@
 //!   outputs bit-identical to one direct
 //!   [`SummaryEngine::summarize_batch`] call over the same inputs —
 //!   pinned by `tests/prop_admission.rs`.
+//! * **First in, first out.** Each batch is led by the oldest queued
+//!   request and takes the method-compatible requests behind it in
+//!   admission order; a request of another method waits for a later
+//!   batch but never loses its place among its own method.
 //! * **Lingering — ticket-count driven, not wall-clock.** The
 //!   dispatcher holds off dispatching until
 //!   [`AdmissionConfig::linger_tickets`] requests are queued, letting
@@ -41,11 +45,6 @@
 //!   including its own request, so lingering can never deadlock a
 //!   waiter). Determinism is the point: tests drive the exact same
 //!   dispatch boundaries on every run.
-//! * **Deadline / priority ordering.** Each request may carry an
-//!   optional deadline rank ([`AdmissionQueue::submit_with_deadline`];
-//!   lower dispatches sooner, `None` sorts last). Dispatch picks the
-//!   most urgent queued request as the batch leader and coalesces
-//!   method-compatible requests in urgency order behind it.
 //! * **Backpressure.** At most [`AdmissionConfig::queue_bound`]
 //!   requests may be queued. [`AdmissionQueue::try_submit`] is a pure
 //!   probe — on a full queue it returns
@@ -92,29 +91,11 @@
 //! resolves** — with a summary, or with an error that says why not.
 //! What varies is which error, and what the queue does next:
 //!
-//! * **What sheds.** With an [`OverloadPolicy::shed_watermark`] set,
-//!   admissions that push the queue past the watermark evict the
-//!   *least urgent* queued request (unranked-and-newest first), which
-//!   resolves [`AdmissionError::DeadlineExceeded`] without ever
-//!   touching a worker — under overload the queue trades the work it
-//!   was least likely to serve in time for bounded latency on the
-//!   rest. With the watermark unset (`0`, the default) nothing sheds
-//!   and PR 4's urgency ordering is bit-identical to before.
-//! * **What expires.** A request submitted with
-//!   [`SubmitOptions::expires_at`] that is still queued when its
-//!   wall-clock deadline passes resolves `DeadlineExceeded` at the
-//!   next dispatch decision instead of being served late; one already
-//!   expired at submission resolves immediately, consuming no queue
-//!   room. Requests without an expiry never take the
-//!   [`std::time::Instant`] path at all.
-//! * **What degrades.** A request submitted with
-//!   [`DegradePolicy::AllowStFast`] whose method is `Steiner` (KMB) is
-//!   downgraded at admission to `SteinerFast` (Mehlhorn) while the
-//!   queue is at or above [`OverloadPolicy::degrade_watermark`] — the
-//!   §V-B-licensed quality trade — and the swap is recorded in
-//!   [`DispatchMeta::degraded`]. Degraded results are bit-identical to
-//!   a direct `SteinerFast` call; [`DegradePolicy::Strict`] (the
-//!   default) never degrades.
+//! * **What refuses.** Admission turns work away with
+//!   [`AdmissionError::QueueFull`], `ShutDown` or `Poisoned`. An
+//!   admitted request is never dropped or downgraded: it is served
+//!   with exactly the method it asked for, or fails with a backend
+//!   error or a poisoned queue (below).
 //! * **What retries.** A failed coalesced batch (worker panic or an
 //!   injected [`FaultSite::AdmissionDispatch`] fault) is retried
 //!   request-by-request so the error lands on exactly the affected
@@ -235,11 +216,6 @@ pub enum AdmissionError {
     QueueFull,
     /// The queue no longer admits requests (shut down).
     ShutDown,
-    /// The request's wall-clock deadline passed before dispatch, or it
-    /// was shed as the least urgent queued work under overload (see
-    /// the module-level *Failure semantics*). Either way it never
-    /// consumed worker time.
-    DeadlineExceeded,
     /// A mutation barrier failed and the queue is poisoned until
     /// [`AdmissionQueue::recover`] restores backend coherence.
     Poisoned,
@@ -253,9 +229,6 @@ impl std::fmt::Display for AdmissionError {
         match self {
             AdmissionError::QueueFull => write!(f, "admission queue full"),
             AdmissionError::ShutDown => write!(f, "admission queue shut down"),
-            AdmissionError::DeadlineExceeded => {
-                write!(f, "deadline exceeded before dispatch (expired or shed)")
-            }
             AdmissionError::Poisoned => {
                 write!(f, "admission queue poisoned by a failed mutation")
             }
@@ -266,50 +239,11 @@ impl std::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Queue-depth watermarks for overload behavior; both default to `0` =
-/// disabled, in which case the queue behaves exactly as before this
-/// layer existed (pinned by the unmodified `tests/prop_admission.rs`).
+/// An empty overload policy: the queue has no overload modes (no
+/// shedding, degradation or expiry). Kept only because the benchmark
+/// harness's `TrafficConfig` literal in `perfbench` names it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverloadPolicy {
-    /// While more than this many requests are queued, each admission
-    /// evicts the least urgent queued request, which resolves
-    /// [`AdmissionError::DeadlineExceeded`]. `0` = never shed.
-    pub shed_watermark: usize,
-    /// While at least this many requests are queued, admissions that
-    /// opted into [`DegradePolicy::AllowStFast`] have `Steiner`
-    /// downgraded to `SteinerFast`. `0` = never degrade.
-    pub degrade_watermark: usize,
-}
-
-/// Per-request opt-in to graceful degradation under overload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DegradePolicy {
-    /// Serve exactly the requested method, whatever the queue depth.
-    #[default]
-    Strict,
-    /// Allow `Steiner` (KMB) to be served as `SteinerFast` (Mehlhorn)
-    /// while the queue is at or above
-    /// [`OverloadPolicy::degrade_watermark`] — the downgrade is
-    /// decided at admission, recorded in [`DispatchMeta::degraded`],
-    /// and the result is bit-identical to a direct `SteinerFast` call.
-    AllowStFast,
-}
-
-/// Everything optional about one submission
-/// ([`AdmissionQueue::submit_with`]); `default()` is a plain
-/// [`AdmissionQueue::submit`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SubmitOptions {
-    /// Urgency rank: lower dispatches sooner, `None` sorts last (the
-    /// PR 4 ordering rank — this never *rejects* work by itself).
-    pub deadline: Option<u64>,
-    /// Wall-clock expiry: if still queued at this instant, the ticket
-    /// resolves [`AdmissionError::DeadlineExceeded`] instead of being
-    /// served late. `None` (the default) never consults the clock.
-    pub expires_at: Option<Instant>,
-    /// Overload degradation opt-in (see [`DegradePolicy`]).
-    pub degrade: DegradePolicy,
-}
+pub struct OverloadPolicy {}
 
 /// Where and how a ticket's request was dispatched — exposed so tests
 /// and dashboards can observe coalescing and ordering decisions.
@@ -317,14 +251,10 @@ pub struct SubmitOptions {
 pub struct DispatchMeta {
     /// Monotone id of the coalesced batch that served the request
     /// (earlier batches have smaller ids; mutation barriers do not
-    /// consume ids). `0` for tickets that never dispatched (shed,
-    /// expired, or poisoned).
+    /// consume ids). `0` for tickets that never dispatched (poisoned).
     pub batch: u64,
     /// How many requests the batch coalesced (`0` if never dispatched).
     pub coalesced: usize,
-    /// Whether this request was downgraded `Steiner` → `SteinerFast`
-    /// under [`DegradePolicy::AllowStFast`].
-    pub degraded: bool,
 }
 
 impl DispatchMeta {
@@ -333,7 +263,6 @@ impl DispatchMeta {
         DispatchMeta {
             batch: 0,
             coalesced: 0,
-            degraded: false,
         }
     }
 }
@@ -363,15 +292,6 @@ pub struct AdmissionStats {
     pub queued: usize,
     /// Requests currently being served by the backend.
     pub in_flight: usize,
-    /// Tickets shed under the [`OverloadPolicy::shed_watermark`]
-    /// (resolved [`AdmissionError::DeadlineExceeded`], never served —
-    /// counted here, not in `failed`, which tracks backend failures).
-    pub shed: u64,
-    /// Tickets whose [`SubmitOptions::expires_at`] passed before
-    /// dispatch (also resolved `DeadlineExceeded`, never served).
-    pub expired: u64,
-    /// Requests downgraded `Steiner` → `SteinerFast` at admission.
-    pub degraded: u64,
     /// Successful [`AdmissionQueue::recover`] barriers applied.
     pub recoveries: u64,
     /// Individual edge-weight updates applied through
@@ -714,8 +634,8 @@ impl std::fmt::Debug for SummaryTicket {
 
 impl SummaryTicket {
     /// Block until the request was served; returns the summary or the
-    /// [`AdmissionError`] describing why it wasn't (backend failure,
-    /// deadline, or queue poisoning).
+    /// [`AdmissionError`] describing why it wasn't (backend failure or
+    /// queue poisoning).
     pub fn wait(self) -> Result<Summary, AdmissionError> {
         self.wait_meta().0
     }
@@ -1016,29 +936,9 @@ impl TicketSet {
 /// One queued summary request.
 struct PendingRequest {
     seq: u64,
-    /// Urgency rank: lower dispatches sooner, `None` sorts last.
-    deadline: Option<u64>,
-    /// Wall-clock expiry; still-queued requests past it resolve
-    /// [`AdmissionError::DeadlineExceeded`] at the next dispatch
-    /// decision instead of being served late.
-    expires_at: Option<Instant>,
-    /// Whether admission downgraded the method under
-    /// [`DegradePolicy::AllowStFast`] (`method` already holds the
-    /// downgraded method; this flag only feeds [`DispatchMeta`]).
-    degraded: bool,
     input: SummaryInput,
     method: BatchMethod,
     slot: Arc<TicketSlot>,
-}
-
-impl PendingRequest {
-    fn urgency(&self) -> (u64, u64) {
-        (self.deadline.unwrap_or(u64::MAX), self.seq)
-    }
-
-    fn expired_by(&self, now: Instant) -> bool {
-        self.expires_at.is_some_and(|t| t <= now)
-    }
 }
 
 /// One queued operation, in admission order.
@@ -1120,9 +1020,6 @@ struct QueueState {
     /// Summary requests in `queue` (mutation barriers don't count
     /// against the bound).
     queued_summaries: usize,
-    /// Queued summary requests carrying an `expires_at` — the guard
-    /// that keeps the zero-expiry path from ever reading the clock.
-    expiring: usize,
     next_seq: u64,
     /// Requests with `seq < flush_up_to` dispatch regardless of the
     /// linger window.
@@ -1139,7 +1036,6 @@ struct QueueState {
 
 struct QueueShared {
     cfg: AdmissionConfig,
-    policy: OverloadPolicy,
     /// Deterministic fault injection at the dispatch/mutate seams;
     /// `None` (the default) costs one never-taken branch per dispatch.
     faults: Option<Arc<FaultInjector>>,
@@ -1193,22 +1089,11 @@ impl AdmissionQueue {
     /// A queue over any [`AdmissionBackend`]; the backend moves onto
     /// the dispatcher thread, which owns it for the queue's lifetime.
     pub fn new(backend: impl AdmissionBackend, cfg: AdmissionConfig) -> Self {
-        Self::with_policy(backend, cfg, OverloadPolicy::default())
+        Self::with_faults(backend, cfg, None)
     }
 
-    /// [`AdmissionQueue::new`] with overload watermarks (shedding and
-    /// degradation; see [`OverloadPolicy`]).
-    pub fn with_policy(
-        backend: impl AdmissionBackend,
-        cfg: AdmissionConfig,
-        policy: OverloadPolicy,
-    ) -> Self {
-        Self::with_faults(backend, cfg, policy, None)
-    }
-
-    /// Fully explicit construction: overload watermarks plus a
-    /// deterministic fault injector firing at
-    /// [`FaultSite::AdmissionDispatch`] and
+    /// [`AdmissionQueue::new`] plus a deterministic fault injector
+    /// firing at [`FaultSite::AdmissionDispatch`] and
     /// [`FaultSite::AdmissionMutate`]. To also chaos the serving
     /// layers below, install the same injector on the backend before
     /// moving it in ([`ShardedEngine::set_fault_injector`],
@@ -1216,7 +1101,6 @@ impl AdmissionQueue {
     pub fn with_faults(
         backend: impl AdmissionBackend,
         cfg: AdmissionConfig,
-        policy: OverloadPolicy,
         faults: Option<Arc<FaultInjector>>,
     ) -> Self {
         let cfg = AdmissionConfig {
@@ -1226,12 +1110,10 @@ impl AdmissionQueue {
         };
         let shared = Arc::new(QueueShared {
             cfg,
-            policy,
             faults,
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 queued_summaries: 0,
-                expiring: 0,
                 next_seq: 0,
                 flush_up_to: 0,
                 in_flight: 0,
@@ -1282,50 +1164,18 @@ impl AdmissionQueue {
         input: SummaryInput,
         method: BatchMethod,
     ) -> Result<SummaryTicket, AdmissionError> {
-        self.submit_inner(input, method, SubmitOptions::default(), true)
-    }
-
-    /// [`AdmissionQueue::submit`] with a deadline/priority rank: lower
-    /// ranks dispatch sooner; unranked requests sort after every ranked
-    /// one (FIFO among equals).
-    pub fn submit_with_deadline(
-        &self,
-        input: SummaryInput,
-        method: BatchMethod,
-        deadline: u64,
-    ) -> Result<SummaryTicket, AdmissionError> {
-        self.submit_inner(
-            input,
-            method,
-            SubmitOptions {
-                deadline: Some(deadline),
-                ..SubmitOptions::default()
-            },
-            true,
-        )
-    }
-
-    /// Admit one request with the full set of per-request options
-    /// (urgency rank, wall-clock expiry, degradation opt-in); blocking
-    /// like [`AdmissionQueue::submit`].
-    pub fn submit_with(
-        &self,
-        input: SummaryInput,
-        method: BatchMethod,
-        opts: SubmitOptions,
-    ) -> Result<SummaryTicket, AdmissionError> {
-        self.submit_inner(input, method, opts, true)
+        self.submit_inner(input, method, true)
     }
 
     /// Non-blocking admission probe: on a full queue returns
     /// [`AdmissionError::QueueFull`] immediately and leaves the queue
-    /// untouched (backpressure the producer can observe and shed).
+    /// untouched (backpressure the producer can observe and act on).
     pub fn try_submit(
         &self,
         input: SummaryInput,
         method: BatchMethod,
     ) -> Result<SummaryTicket, AdmissionError> {
-        self.submit_inner(input, method, SubmitOptions::default(), false)
+        self.submit_inner(input, method, false)
     }
 
     /// Admit a whole batch request: one ticket per input, admitted in
@@ -1347,7 +1197,6 @@ impl AdmissionQueue {
         &self,
         input: SummaryInput,
         method: BatchMethod,
-        opts: SubmitOptions,
         block: bool,
     ) -> Result<SummaryTicket, AdmissionError> {
         let mut st = lock_recovering(&self.shared.state);
@@ -1384,89 +1233,16 @@ impl AdmissionQueue {
             shared: Arc::clone(&self.shared),
             seq,
         };
-        // Already past its wall-clock deadline (including time spent
-        // blocked for room above): resolve immediately, consuming no
-        // queue room and no worker time.
-        if let Some(t) = opts.expires_at {
-            // xlint: allow(wall-clock-in-dispatcher) — expiry stamp comparison
-            // at admission time, opt-in per request; never drives linger.
-            if t <= Instant::now() {
-                st.stats.expired += 1;
-                drop(st);
-                slot.put((
-                    Err(AdmissionError::DeadlineExceeded),
-                    DispatchMeta::unserved(),
-                ));
-                return Ok(ticket);
-            }
-        }
-        // Overload degradation, decided at admission against the
-        // pre-admission depth: the coalescer then fingerprints the
-        // *effective* method, so degraded requests batch with native
-        // `SteinerFast` traffic.
-        let mut method = method;
-        let mut degraded = false;
-        if self.shared.policy.degrade_watermark > 0
-            && opts.degrade == DegradePolicy::AllowStFast
-            && st.queued_summaries >= self.shared.policy.degrade_watermark
-        {
-            if let BatchMethod::Steiner(cfg) = method {
-                method = BatchMethod::SteinerFast(cfg);
-                degraded = true;
-                st.stats.degraded += 1;
-            }
-        }
         st.queued_summaries += 1;
-        if opts.expires_at.is_some() {
-            st.expiring += 1;
-        }
         if st.in_flight > 0 {
             st.stats.overlap_submissions += 1;
         }
         st.queue.push_back(QueuedOp::Summary(PendingRequest {
             seq,
-            deadline: opts.deadline,
-            expires_at: opts.expires_at,
-            degraded,
             input,
             method,
             slot,
         }));
-        // Load shedding: past the watermark, evict the least urgent
-        // queued request (possibly the one just admitted) — it
-        // resolves `DeadlineExceeded` without ever reaching a worker.
-        if self.shared.policy.shed_watermark > 0 {
-            let mut shed_any = false;
-            while st.queued_summaries > self.shared.policy.shed_watermark {
-                let victim = st
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, op)| match op {
-                        QueuedOp::Summary(r) => Some((r.urgency(), i)),
-                        _ => None,
-                    })
-                    .max()
-                    .map(|(_, i)| i);
-                let Some(i) = victim else { break };
-                let Some(QueuedOp::Summary(r)) = st.queue.remove(i) else {
-                    unreachable!("victim index held a summary")
-                };
-                st.queued_summaries -= 1;
-                if r.expires_at.is_some() {
-                    st.expiring -= 1;
-                }
-                st.stats.shed += 1;
-                r.slot.put((
-                    Err(AdmissionError::DeadlineExceeded),
-                    DispatchMeta::unserved(),
-                ));
-                shed_any = true;
-            }
-            if shed_any {
-                self.shared.space_cv.notify_all();
-            }
-        }
         drop(st);
         self.shared.work_cv.notify_all();
         Ok(ticket)
@@ -1654,7 +1430,6 @@ fn poison_and_drain(st: &mut QueueState) {
     st.poisoned = true;
     let poisoned: Vec<QueuedOp> = st.queue.drain(..).collect();
     st.queued_summaries = 0;
-    st.expiring = 0;
     for op in poisoned {
         match op {
             QueuedOp::Summary(req) => {
@@ -1700,7 +1475,7 @@ fn dispatcher_loop(shared: &QueueShared, backend: &mut dyn AdmissionBackend) {
         let work = {
             let mut st = lock_recovering(&shared.state);
             loop {
-                if let Some(work) = next_work(&mut st, shared) {
+                if let Some(work) = next_work(&mut st, &shared.cfg) {
                     if let Work::Batch { reqs, .. } = &work {
                         st.queued_summaries -= reqs.len();
                         st.in_flight = reqs.len();
@@ -1725,7 +1500,6 @@ fn dispatcher_loop(shared: &QueueShared, backend: &mut dyn AdmissionBackend) {
             Work::Batch { reqs, batch_id } => {
                 let method = reqs[0].method;
                 let inputs: Vec<&SummaryInput> = reqs.iter().map(|r| &r.input).collect();
-                let expiring = reqs.iter().filter(|r| r.expires_at.is_some()).count();
                 let batch_result = match draw_fault(
                     shared,
                     FaultSite::AdmissionDispatch,
@@ -1763,7 +1537,6 @@ fn dispatcher_loop(shared: &QueueShared, backend: &mut dyn AdmissionBackend) {
                 let meta = DispatchMeta {
                     batch: batch_id,
                     coalesced: reqs.len(),
-                    degraded: false,
                 };
                 // Count first, then resolve tickets: a waiter that
                 // wakes on its slot must already see itself counted.
@@ -1772,13 +1545,8 @@ fn dispatcher_loop(shared: &QueueShared, backend: &mut dyn AdmissionBackend) {
                     let mut st = lock_recovering(&shared.state);
                     st.stats.completed += completed;
                     st.stats.failed += reqs.len() as u64 - completed;
-                    st.expiring -= expiring;
                 }
                 for (req, outcome) in reqs.iter().zip(outcomes.drain(..)) {
-                    let meta = DispatchMeta {
-                        degraded: req.degraded,
-                        ..meta
-                    };
                     req.slot
                         .put((outcome.map_err(AdmissionError::Engine), meta));
                 }
@@ -1890,48 +1658,14 @@ fn dispatcher_loop(shared: &QueueShared, backend: &mut dyn AdmissionBackend) {
 /// Decide the dispatcher's next round under the state lock: a mutation
 /// or recovery barrier at the head, a coalesced batch from the head
 /// segment once the linger window closes, or nothing yet (`None` →
-/// wait). Wall-clock-expired requests are swept out first, so a shed
-/// or expired ticket never consumes dispatcher time.
-fn next_work(st: &mut QueueState, shared: &QueueShared) -> Option<Work> {
-    let cfg = &shared.cfg;
-    if st.expiring > 0 && !st.queue.is_empty() {
-        // One clock read per sweep; the zero-expiry path (every test
-        // and workload predating wall-clock deadlines) never gets
-        // here, keeping dispatch order bit-identical for them.
-        // xlint: allow(wall-clock-in-dispatcher) — expiry sweep over opt-in
-        // expires_at stamps, gated on expiring > 0; linger stays ticket-count.
-        let now = Instant::now();
-        let mut kept: VecDeque<QueuedOp> = VecDeque::with_capacity(st.queue.len());
-        let mut dropped = 0usize;
-        for op in st.queue.drain(..) {
-            match op {
-                QueuedOp::Summary(r) if r.expired_by(now) => {
-                    st.expiring -= 1;
-                    st.queued_summaries -= 1;
-                    st.stats.expired += 1;
-                    dropped += 1;
-                    r.slot.put((
-                        Err(AdmissionError::DeadlineExceeded),
-                        DispatchMeta::unserved(),
-                    ));
-                }
-                other => kept.push_back(other),
-            }
-        }
-        st.queue = kept;
-        if dropped > 0 {
-            shared.space_cv.notify_all();
-        }
-    }
-    if st.queue.is_empty() {
-        return None;
-    }
-    match st.queue.front() {
-        Some(QueuedOp::Mutate { .. }) => match st.queue.pop_front() {
+/// wait).
+fn next_work(st: &mut QueueState, cfg: &AdmissionConfig) -> Option<Work> {
+    match st.queue.front()? {
+        QueuedOp::Mutate { .. } => match st.queue.pop_front() {
             Some(QueuedOp::Mutate { f, done }) => return Some(Work::Mutation { f, done }),
             _ => unreachable!("front() said Mutate"),
         },
-        Some(QueuedOp::Recover { .. }) => match st.queue.pop_front() {
+        QueuedOp::Recover { .. } => match st.queue.pop_front() {
             Some(QueuedOp::Recover { done }) => return Some(Work::Recovery { done }),
             _ => unreachable!("front() said Recover"),
         },
@@ -1975,49 +1709,36 @@ fn next_work(st: &mut QueueState, shared: &QueueShared) -> Option<Work> {
         .iter()
         .position(|op| !matches!(op, QueuedOp::Summary(_)));
     let seg_end = barrier.unwrap_or(st.queue.len());
-    let segment = || {
-        st.queue.iter().take(seg_end).map(|op| match op {
-            QueuedOp::Summary(r) => r,
-            _ => unreachable!("segment precedes the barrier"),
-        })
+    // Summaries queue in admission order, so the segment's first
+    // request is its oldest: it leads the batch.
+    let Some(QueuedOp::Summary(leader)) = st.queue.front() else {
+        unreachable!("a summary heads the segment")
     };
     let ready = st.shutdown
         || barrier.is_some() // a waiting barrier closes the window
         || seg_end >= cfg.linger_tickets
-        || segment().any(|r| r.seq < st.flush_up_to);
+        || leader.seq < st.flush_up_to;
     if !ready {
         return None;
     }
-    // Leader = most urgent request; coalesce method-compatible
-    // requests behind it in urgency order, up to max_batch.
-    let leader_fp = {
-        let leader = segment()
-            .min_by_key(|r| r.urgency())
-            .expect("non-empty segment");
-        method_fingerprint(&leader.method)
-    };
-    let mut picked: Vec<(u64, u64, u64)> = segment()
-        .filter(|r| method_fingerprint(&r.method) == leader_fp)
-        .map(|r| {
-            let (d, s) = r.urgency();
-            (d, s, r.seq)
-        })
-        .collect();
-    picked.sort_unstable();
-    picked.truncate(cfg.max_batch);
-    let chosen: std::collections::HashSet<u64> = picked.iter().map(|&(_, _, seq)| seq).collect();
-
-    // Extract the chosen requests (in urgency order) from the queue.
-    let mut taken: Vec<PendingRequest> = Vec::with_capacity(chosen.len());
+    // The leader takes the method-compatible requests behind it, in
+    // admission order, up to max_batch.
+    let leader_fp = method_fingerprint(&leader.method);
+    let mut taken: Vec<PendingRequest> = Vec::new();
     let mut rest: VecDeque<QueuedOp> = VecDeque::with_capacity(st.queue.len());
-    for op in st.queue.drain(..) {
+    for (i, op) in st.queue.drain(..).enumerate() {
         match op {
-            QueuedOp::Summary(r) if chosen.contains(&r.seq) => taken.push(r),
+            QueuedOp::Summary(r)
+                if i < seg_end
+                    && taken.len() < cfg.max_batch
+                    && method_fingerprint(&r.method) == leader_fp =>
+            {
+                taken.push(r)
+            }
             other => rest.push_back(other),
         }
     }
     st.queue = rest;
-    taken.sort_unstable_by_key(|r| r.urgency());
     Some(Work::Batch {
         reqs: taken,
         // The caller increments `batches_dispatched` right after; the
@@ -2110,7 +1831,7 @@ mod tests {
     }
 
     #[test]
-    fn deadlines_order_dispatch() {
+    fn coalescer_dispatches_first_in_first_out() {
         let ex = table1_example();
         let queue = AdmissionQueue::for_engine(
             ex.graph.clone(),
@@ -2121,28 +1842,14 @@ mod tests {
                 linger_tickets: 4,
             },
         );
-        // Two unranked requests first, then two urgent ones.
-        let slow1 = queue.submit(ex.input(), st_method()).unwrap();
-        let slow2 = queue.submit(ex.input(), st_method()).unwrap();
-        let fast1 = queue
-            .submit_with_deadline(ex.input(), st_method(), 0)
-            .unwrap();
-        let fast2 = queue
-            .submit_with_deadline(ex.input(), st_method(), 1)
-            .unwrap();
+        let tickets: Vec<_> = (0..4)
+            .map(|_| queue.submit(ex.input(), st_method()).unwrap())
+            .collect();
         queue.drain();
-        // max_batch 2: the deadline-ranked pair dispatches first even
-        // though it was admitted last.
-        let (_, meta_fast1) = fast1.wait_meta();
-        let (_, meta_fast2) = fast2.wait_meta();
-        let (_, meta_slow1) = slow1.wait_meta();
-        let (_, meta_slow2) = slow2.wait_meta();
-        assert_eq!(meta_fast1.batch, meta_fast2.batch);
-        assert_eq!(meta_slow1.batch, meta_slow2.batch);
-        assert!(
-            meta_fast1.batch < meta_slow1.batch,
-            "deadline-ranked requests must dispatch before unranked ones"
-        );
+        // max_batch 2: requests 1 and 2 share the first batch, requests
+        // 3 and 4 the second.
+        let batches: Vec<u64> = tickets.into_iter().map(|t| t.wait_meta().1.batch).collect();
+        assert_eq!(batches, [1, 1, 2, 2]);
     }
 
     #[test]
@@ -2170,6 +1877,7 @@ mod tests {
         assert_eq!(ma.batch, mc.batch, "same method coalesces");
         assert_eq!(mb.batch, md.batch);
         assert_ne!(ma.batch, mb.batch, "methods never share a batch");
+        assert!(ma.batch < mb.batch, "the oldest request leads");
         assert_same(&ra.unwrap(), &st_method().run(&ex.graph, &ex.input()));
         assert_same(&rb.unwrap(), &pcst.run(&ex.graph, &ex.input()));
         assert_same(&rc.unwrap(), &st_method().run(&ex.graph, &ex.input()));
@@ -2421,155 +2129,6 @@ mod tests {
     }
 
     #[test]
-    fn already_expired_deadline_resolves_without_dispatch() {
-        let ex = table1_example();
-        let queue = AdmissionQueue::for_engine(
-            ex.graph.clone(),
-            SummaryEngine::with_threads(1),
-            AdmissionConfig {
-                queue_bound: 64,
-                max_batch: 8,
-                linger_tickets: usize::MAX,
-            },
-        );
-        let opts = SubmitOptions {
-            expires_at: Some(Instant::now() - Duration::from_millis(1)),
-            ..Default::default()
-        };
-        let ticket = queue.submit_with(ex.input(), st_method(), opts).unwrap();
-        let (outcome, meta) = ticket.wait_meta();
-        assert!(matches!(outcome, Err(AdmissionError::DeadlineExceeded)));
-        assert_eq!(meta.coalesced, 0, "expired ticket never reached a batch");
-        let stats = queue.stats();
-        assert_eq!(stats.expired, 1);
-        assert_eq!(stats.failed, 0, "expiry is its own counter");
-        assert_eq!(stats.batches_dispatched, 0);
-        // The queue still serves ordinary traffic.
-        assert!(queue
-            .submit(ex.input(), st_method())
-            .unwrap()
-            .wait()
-            .is_ok());
-    }
-
-    #[test]
-    fn queued_request_expires_in_the_sweep() {
-        let ex = table1_example();
-        let queue = AdmissionQueue::for_engine(
-            ex.graph.clone(),
-            SummaryEngine::with_threads(1),
-            AdmissionConfig {
-                queue_bound: 64,
-                max_batch: 8,
-                linger_tickets: usize::MAX, // hold it in the queue past its deadline
-            },
-        );
-        let opts = SubmitOptions {
-            expires_at: Some(Instant::now() + Duration::from_millis(5)),
-            ..Default::default()
-        };
-        let doomed = queue.submit_with(ex.input(), st_method(), opts).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        // A flush-triggering wait from a later ticket forces the
-        // dispatcher to look at the queue; the sweep runs first.
-        let fresh = queue.submit(ex.input(), st_method()).unwrap();
-        assert!(fresh.wait().is_ok());
-        let (outcome, meta) = doomed.wait_meta();
-        assert!(matches!(outcome, Err(AdmissionError::DeadlineExceeded)));
-        assert_eq!(meta.coalesced, 0);
-        assert_eq!(queue.stats().expired, 1);
-    }
-
-    #[test]
-    fn shed_watermark_drops_lowest_urgency_first() {
-        let ex = table1_example();
-        let queue = AdmissionQueue::with_policy(
-            EngineBackend::new(ex.graph.clone(), SummaryEngine::with_threads(1)),
-            AdmissionConfig {
-                queue_bound: 64,
-                max_batch: 8,
-                linger_tickets: usize::MAX,
-            },
-            OverloadPolicy {
-                shed_watermark: 2,
-                degrade_watermark: 0,
-            },
-        );
-        // Two ranked requests fit under the watermark; the third,
-        // unranked, is itself the lowest-urgency entry and is shed.
-        let keep1 = queue
-            .submit_with_deadline(ex.input(), st_method(), 1)
-            .unwrap();
-        let keep2 = queue
-            .submit_with_deadline(ex.input(), st_method(), 2)
-            .unwrap();
-        let shed = queue.submit(ex.input(), st_method()).unwrap();
-        let (outcome, meta) = shed.wait_meta();
-        assert!(matches!(outcome, Err(AdmissionError::DeadlineExceeded)));
-        assert_eq!(meta.coalesced, 0, "shed ticket never consumed a worker");
-        assert!(keep1.wait().is_ok());
-        assert!(keep2.wait().is_ok());
-        let stats = queue.stats();
-        assert_eq!(stats.shed, 1);
-        assert_eq!(stats.expired, 0);
-        assert_eq!(stats.completed, 2);
-    }
-
-    #[test]
-    fn degrade_policy_downgrades_steiner_under_load() {
-        let ex = table1_example();
-        let input = ex.input();
-        let queue = AdmissionQueue::with_policy(
-            EngineBackend::new(ex.graph.clone(), SummaryEngine::with_threads(1)),
-            AdmissionConfig {
-                queue_bound: 64,
-                max_batch: 8,
-                linger_tickets: usize::MAX,
-            },
-            OverloadPolicy {
-                shed_watermark: 0,
-                degrade_watermark: 1,
-            },
-        );
-        // First submission sees an empty queue: no degradation.
-        let strict = queue
-            .submit_with(
-                input.clone(),
-                st_method(),
-                SubmitOptions {
-                    degrade: DegradePolicy::AllowStFast,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        // Second sees depth 1 >= watermark: downgraded to ST-fast.
-        let degraded = queue
-            .submit_with(
-                input.clone(),
-                st_method(),
-                SubmitOptions {
-                    degrade: DegradePolicy::AllowStFast,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        // Strict requests are never downgraded regardless of depth.
-        let opted_out = queue.submit(input.clone(), st_method()).unwrap();
-        let (got_strict, meta_strict) = strict.wait_meta();
-        let (got_degraded, meta_degraded) = degraded.wait_meta();
-        let (got_opted_out, meta_opted_out) = opted_out.wait_meta();
-        assert!(!meta_strict.degraded);
-        assert!(meta_degraded.degraded);
-        assert!(!meta_opted_out.degraded);
-        let want_full = st_method().run(&ex.graph, &input);
-        let want_fast = BatchMethod::SteinerFast(SteinerConfig::default()).run(&ex.graph, &input);
-        assert_same(&got_strict.unwrap(), &want_full);
-        assert_same(&got_degraded.unwrap(), &want_fast);
-        assert_same(&got_opted_out.unwrap(), &want_full);
-        assert_eq!(queue.stats().degraded, 1);
-    }
-
-    #[test]
     fn try_wait_polls_and_wait_timeout_bounds_the_wait() {
         let ex = table1_example();
         let queue = AdmissionQueue::for_engine(
@@ -2623,7 +2182,6 @@ mod tests {
                 max_batch: 4,
                 linger_tickets: 1,
             },
-            OverloadPolicy::default(),
             Some(Arc::clone(&injector)),
         );
         let tickets: Vec<_> = (0..12)
@@ -2908,7 +2466,6 @@ mod tests {
         let queue = AdmissionQueue::with_faults(
             EngineBackend::new(ex.graph.clone(), SummaryEngine::with_threads(1)),
             AdmissionConfig::default(),
-            OverloadPolicy::default(),
             Some(Arc::clone(&injector)),
         );
         let err = queue

@@ -64,7 +64,7 @@
 //!   async runtime: a bounded submission queue accepting single and
 //!   batch requests from many producer threads, coalescing queued
 //!   singles into engine batches (ticket-count linger window,
-//!   deadline-aware ordering), resolving condvar-backed
+//!   first-in, first-out order), resolving condvar-backed
 //!   [`SummaryTicket`]s, applying graph mutations as barriers, and
 //!   isolating worker panics to exactly the affected tickets —
 //!   bit-identical to direct [`SummaryEngine::summarize_batch`] calls
@@ -105,8 +105,8 @@ pub mod wire;
 
 pub use admission::{
     AdmissionBackend, AdmissionConfig, AdmissionError, AdmissionQueue, AdmissionStats,
-    CompletedTicket, DegradePolicy, DispatchMeta, EngineBackend, OverloadPolicy, SubmitOptions,
-    SummaryTicket, TicketSet, WeightUpdateTicket,
+    CompletedTicket, DispatchMeta, EngineBackend, OverloadPolicy, SummaryTicket, TicketSet,
+    WeightUpdateTicket,
 };
 pub use batch::{summarize_batch, summarize_batch_threads, BatchMethod};
 pub use breaker::CircuitBreaker;

@@ -54,7 +54,8 @@
 
 use std::io::{BufReader, Read, Write};
 
-use xsum_graph::sync::{Condvar, Mutex, PoisonError};
+use xsum_graph::sync::atomic::{AtomicBool, Ordering};
+use xsum_graph::sync::{Arc, Condvar, Mutex, PoisonError};
 use xsum_graph::{EdgeId, LoosePath, NodeId};
 
 use crate::admission::{lock_recovering, AdmissionQueue, CompletedTicket, TicketSet};
@@ -125,7 +126,8 @@ impl From<std::io::Error> for WireError {
 pub enum WireMutation {
     /// Set one edge's weight (the Eq. 1 inputs drift as ratings
     /// arrive; applied as a coalescing barrier like
-    /// [`AdmissionQueue::mutate`]).
+    /// [`AdmissionQueue::mutate`]). An edge id the graph does not have
+    /// is answered with an error and changes nothing.
     SetWeight {
         /// The edge to reweight.
         edge: EdgeId,
@@ -907,20 +909,41 @@ fn read_requests<W: Write>(
             WireFrame::MutationRequest(req) => {
                 report.mutations += 1;
                 let result = match req.mutation {
-                    WireMutation::SetWeight { edge, weight } => {
-                        queue.mutate(move |g| g.set_weight(edge, weight))
-                    }
+                    WireMutation::SetWeight { edge, weight } => set_weight(queue, edge, weight),
                 };
-                WireFrame::MutationResponse(MutationResponse {
-                    id: req.id,
-                    result: result.map_err(|e| e.to_string()),
-                })
+                WireFrame::MutationResponse(MutationResponse { id: req.id, result })
             }
             WireFrame::SummaryResponse(_) | WireFrame::MutationResponse(_) => {
                 return Err(WireError::Corrupt("response frame on the request stream"));
             }
         };
         out.send(&encode_frame(&answer), 1)?;
+    }
+    Ok(())
+}
+
+/// Apply a wire `SetWeight` as a barrier. The edge id is checked inside
+/// the barrier, where the graph is at hand: an id the graph does not
+/// have is answered with an error and leaves the graph untouched,
+/// rather than panicking in the barrier and poisoning the queue for
+/// every client.
+fn set_weight(queue: &AdmissionQueue, edge: EdgeId, weight: f64) -> Result<(), String> {
+    let out_of_range = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&out_of_range);
+    queue
+        .mutate(move |g| {
+            if edge.index() < g.edge_count() {
+                g.set_weight(edge, weight);
+            } else {
+                flag.store(true, Ordering::Relaxed);
+            }
+        })
+        .map_err(|e| e.to_string())?;
+    // Relaxed suffices: `mutate` returns only after the dispatcher has
+    // resolved the barrier's slot under its mutex, which orders the
+    // closure's store before this load.
+    if out_of_range.load(Ordering::Relaxed) {
+        return Err(format!("edge {} is out of range", edge.0));
     }
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! producers submit from any thread and get a completion ticket
 //! (condvar-backed — no async runtime); a dispatcher thread coalesces
 //! queued singles into engine batches (ticket-count linger window),
-//! orders them by optional deadlines, and applies graph mutations as
+//! serves them first in, first out, and applies graph mutations as
 //! barriers between batches.
 //!
 //! ```text
@@ -98,32 +98,6 @@ fn main() {
     println!(
         "coalescing: {} batches, largest {}, {} requests admitted while a batch was in flight",
         stats.batches_dispatched, stats.max_coalesced, stats.overlap_submissions,
-    );
-
-    // Deadline-ranked requests jump the queue: more work than one
-    // max_batch can hold is queued at once, and the ranked pair —
-    // admitted *last* — still rides the first dispatch.
-    let backlog: Vec<_> = inputs
-        .iter()
-        .map(|i| queue.submit(i.clone(), method).expect("live"))
-        .collect();
-    let urgent_a = queue
-        .submit_with_deadline(inputs[0].clone(), method, 0)
-        .expect("live");
-    let urgent_b = queue
-        .submit_with_deadline(inputs[1].clone(), method, 0)
-        .expect("live");
-    let (_, meta_a) = urgent_a.wait_meta();
-    let (_, meta_b) = urgent_b.wait_meta();
-    let last_backlog_batch = backlog
-        .into_iter()
-        .map(|t| t.wait_meta().1.batch)
-        .max()
-        .unwrap_or(0);
-    println!(
-        "\ndeadlines: urgent pair (admitted last) served in batch {} / {}, \
-         unranked backlog finished in batch {}",
-        meta_a.batch, meta_b.batch, last_backlog_batch,
     );
 
     // A graph mutation is a barrier: requests before it serve the old

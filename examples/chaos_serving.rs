@@ -3,27 +3,23 @@
 //!
 //! A seeded [`FaultPlan`] replays the same tape of worker panics,
 //! transient errors, and delays on every run; the serving stack has to
-//! absorb it. Four sections: (1) `ShardedEngine` failover — injected
+//! absorb it. Three sections: (1) `ShardedEngine` failover — injected
 //! replica faults retry on healthy shards behind per-replica circuit
 //! breakers; (2) `AdmissionQueue` under chaos — every admitted ticket
-//! resolves, opted-in requests degrade Steiner → ST-fast under load,
-//! and wall-clock-expired tickets fail fast without consuming worker
-//! time; (3) watermark load shedding — a lingering backlog over the
-//! shed watermark drops lowest-urgency work first, deadline-ranked
-//! requests survive; (4) a panicked mutation poisons the queue and
-//! [`AdmissionQueue::recover`] restores coherent serving.
+//! resolves, served or failed by an injected fault; (3) a panicked
+//! mutation poisons the queue and [`AdmissionQueue::recover`] restores
+//! coherent serving.
 //!
 //! ```text
 //! cargo run --release --example chaos_serving
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use xsum::core::{
-    AdmissionConfig, AdmissionError, AdmissionQueue, BatchMethod, DegradePolicy, FaultInjector,
-    FaultPlan, FaultSite, OverloadPolicy, ShardedEngine, SteinerConfig, SubmitOptions,
-    SummaryEngine, SummaryInput,
+    AdmissionConfig, AdmissionError, AdmissionQueue, BatchMethod, FaultInjector, FaultPlan,
+    FaultSite, ShardedEngine, SteinerConfig, SummaryEngine, SummaryInput,
 };
 use xsum::datasets::ml1m_scaled;
 use xsum::rec::{MfConfig, MfModel, PathRecommender, Pgpr, PgprConfig};
@@ -92,7 +88,7 @@ fn main() {
         injector.total_injected(),
     );
 
-    // ── 2. Admission queue under chaos, with degradation opt-in ──────
+    // ── 2. Admission queue under chaos ───────────────────────────────
     let chaos = Arc::new(FaultInjector::new(FaultPlan::seeded(21)));
     let mut backend = ShardedEngine::with_threads(g, 2, 1);
     backend.set_fault_injector(Some(Arc::clone(&chaos)));
@@ -103,36 +99,12 @@ fn main() {
             max_batch: 16,
             linger_tickets: 4,
         },
-        OverloadPolicy {
-            shed_watermark: 0, // shedding off in this section
-            degrade_watermark: 4,
-        },
         Some(Arc::clone(&chaos)),
     );
-    let expired_instant = Instant::now()
-        .checked_sub(Duration::from_millis(1))
-        .unwrap_or_else(Instant::now);
     let mut tickets = Vec::new();
-    for round in 0..3 {
-        for (i, input) in inputs.iter().enumerate() {
-            let opts = SubmitOptions {
-                // Every 5th request carries an already-passed wall-clock
-                // expiry: it must fail fast, never reaching a worker.
-                expires_at: (i % 5 == 4).then_some(expired_instant),
-                // Every 3rd opts into Steiner → ST-fast degradation when
-                // the queue is at or above the degrade watermark.
-                degrade: if i % 3 == 0 {
-                    DegradePolicy::AllowStFast
-                } else {
-                    DegradePolicy::Strict
-                },
-                deadline: (i % 7 == 0).then_some(round as u64),
-            };
-            tickets.push(
-                queue
-                    .submit_with(input.clone(), method, opts)
-                    .expect("live"),
-            );
+    for _ in 0..3 {
+        for input in &inputs {
+            tickets.push(queue.submit(input.clone(), method).expect("live"));
         }
     }
     // Tickets are pollable now: `try_wait` peeks without blocking (and
@@ -145,27 +117,18 @@ fn main() {
             .wait_timeout(Duration::from_secs(30))
             .unwrap_or_else(|_| panic!("ticket resolves well within 30s")),
     };
-    let (mut served, mut degraded, mut expired, mut faulted) = (1usize, 0usize, 0usize, 0usize);
-    assert!(first_outcome.0.is_ok() || matches!(first_outcome.0, Err(AdmissionError::Engine(_))));
-    for ticket in tickets {
-        match ticket.wait_meta() {
-            (Ok(_), meta) => {
-                served += 1;
-                degraded += meta.degraded as usize;
-            }
-            (Err(AdmissionError::DeadlineExceeded), meta) => {
-                assert_eq!(meta.batch, 0, "expired tickets never dispatch");
-                expired += 1;
-            }
-            (Err(AdmissionError::Engine(_)), _) => faulted += 1,
-            (Err(other), _) => panic!("unexpected admission outcome: {other}"),
+    let (mut served, mut faulted) = (0usize, 0usize);
+    for outcome in std::iter::once(first_outcome.0).chain(tickets.into_iter().map(|t| t.wait())) {
+        match outcome {
+            Ok(_) => served += 1,
+            Err(AdmissionError::Engine(_)) => faulted += 1,
+            Err(other) => panic!("unexpected admission outcome: {other}"),
         }
     }
     let stats = queue.stats();
     println!(
-        "admission chaos: {} submitted — {} served ({} degraded to ST-fast), \
-         {} expired pre-dispatch, {} lost to injected faults",
-        stats.submitted, served, degraded, expired, faulted,
+        "admission chaos: {} submitted — {} served, {} lost to injected faults",
+        stats.submitted, served, faulted,
     );
     println!(
         "                 every ticket resolved; {} batches, {} injection(s) drawn, \
@@ -176,61 +139,7 @@ fn main() {
     );
     queue.shutdown();
 
-    // ── 3. Load shedding: lowest urgency goes first ──────────────────
-    //
-    // A long linger window piles a backlog over the shed watermark;
-    // each admission over the mark sheds the least-urgent queued
-    // request (resolved `DeadlineExceeded`, zero worker time). The
-    // deadline-ranked requests ride it out.
-    let shed_queue = AdmissionQueue::with_policy(
-        xsum::core::EngineBackend::new(g.clone(), SummaryEngine::new()),
-        AdmissionConfig {
-            queue_bound: 256,
-            max_batch: 16,
-            linger_tickets: 64,
-        },
-        OverloadPolicy {
-            shed_watermark: 8,
-            degrade_watermark: 0,
-        },
-    );
-    let ranked: Vec<_> = inputs
-        .iter()
-        .take(4)
-        .enumerate()
-        .map(|(i, input)| {
-            shed_queue
-                .submit_with_deadline(input.clone(), method, i as u64)
-                .expect("live")
-        })
-        .collect();
-    let unranked: Vec<_> = inputs
-        .iter()
-        .take(16)
-        .map(|input| shed_queue.submit(input.clone(), method).expect("live"))
-        .collect();
-    let ranked_served = ranked
-        .into_iter()
-        .map(|t| t.wait_meta())
-        .filter(|(r, _)| r.is_ok())
-        .count();
-    let (mut unranked_served, mut unranked_shed) = (0usize, 0usize);
-    for ticket in unranked {
-        match ticket.wait_meta().0 {
-            Ok(_) => unranked_served += 1,
-            Err(AdmissionError::DeadlineExceeded) => unranked_shed += 1,
-            Err(other) => panic!("unexpected shed-section outcome: {other}"),
-        }
-    }
-    assert_eq!(ranked_served, 4, "deadline-ranked work survives shedding");
-    println!(
-        "load shedding: watermark 8 — all {ranked_served} ranked served; \
-         unranked backlog {unranked_served} served / {unranked_shed} shed ({} total shed)\n",
-        shed_queue.stats().shed,
-    );
-    shed_queue.shutdown();
-
-    // ── 4. Poisoned mutation, then recovery ──────────────────────────
+    // ── 3. Poisoned mutation, then recovery ──────────────────────────
     let frail = AdmissionQueue::for_engine(
         g.clone(),
         SummaryEngine::new(),

@@ -375,7 +375,6 @@ fn admission_layer_resolves_everything_under_chaos() {
             max_batch: 4,
             linger_tickets: 2,
         },
-        xsum::core::OverloadPolicy::default(),
         Some(Arc::clone(&injector)),
     );
     let want = method.run(&ex.graph, &input);

@@ -2,21 +2,17 @@
 //! fault tape (injected worker panics, transient errors, artificial
 //! delays at every hook site) every admitted ticket resolves — no
 //! hangs, no panics escaping the API — and every ticket that resolves
-//! successfully is **bit-identical** to a fault-free oracle. Degraded
-//! requests match a direct ST-fast oracle, shed and expired tickets
-//! error with `DeadlineExceeded` without consuming worker time, a
-//! zeroed overload policy is bit-identical to the PR-default queue,
-//! and a poisoned queue recovered with [`AdmissionQueue::recover`]
-//! serves bit-identically to a freshly built stack.
+//! successfully is **bit-identical** to a fault-free oracle, and a
+//! poisoned queue recovered with [`AdmissionQueue::recover`] serves
+//! bit-identically to a freshly built stack.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use xsum::core::{
-    AdmissionConfig, AdmissionError, AdmissionQueue, BatchMethod, DegradePolicy, EngineBackend,
-    FaultInjector, FaultPlan, OverloadPolicy, PcstConfig, ShardedEngine, SteinerConfig,
-    SubmitOptions, Summary, SummaryEngine, SummaryInput,
+    AdmissionConfig, AdmissionError, AdmissionQueue, BatchMethod, EngineBackend, FaultInjector,
+    FaultPlan, PcstConfig, ShardedEngine, SteinerConfig, Summary, SummaryEngine, SummaryInput,
 };
 use xsum::graph::{EdgeId, EdgeKind, Graph, LoosePath, NodeId, NodeKind};
 use xsum_bench::traffic::{run_traffic_on, schedule, TrafficConfig};
@@ -143,19 +139,13 @@ fn chaos_queue(
     if let Some(shards) = shards {
         let mut sharded = ShardedEngine::with_threads(g, shards, 1);
         sharded.set_fault_injector(Some(Arc::clone(injector)));
-        AdmissionQueue::with_faults(
-            sharded,
-            cfg,
-            OverloadPolicy::default(),
-            Some(Arc::clone(injector)),
-        )
+        AdmissionQueue::with_faults(sharded, cfg, Some(Arc::clone(injector)))
     } else {
         let mut engine = SummaryEngine::with_threads(2);
         engine.set_fault_hook(Some(injector.pool_hook()));
         AdmissionQueue::with_faults(
             EngineBackend::new(g.clone(), engine),
             cfg,
-            OverloadPolicy::default(),
             Some(Arc::clone(injector)),
         )
     }
@@ -229,8 +219,7 @@ proptest! {
         for _ in 0..2 {
             let outcomes = chaos_serve(&queue, &inputs, method, producers);
             prop_assert_eq!(outcomes.len(), want.len());
-            for (w, (outcome, meta)) in want.iter().zip(&outcomes) {
-                prop_assert!(!meta.degraded, "no degrade policy in play");
+            for (w, (outcome, _)) in want.iter().zip(&outcomes) {
                 match outcome {
                     Ok(got) => assert_bit_identical(w, got)?,
                     Err(AdmissionError::Engine(_)) => failures += 1,
@@ -255,202 +244,6 @@ proptest! {
                 Err(e) => prop_assert!(false, "clean round must succeed: {e:?}"),
             }
         }
-    }
-
-    #[test]
-    fn degraded_tickets_match_stfast_oracle(kg in arb_kg()) {
-        // Under the degrade watermark, opted-in Steiner requests are
-        // downgraded to ST-fast and their results are bit-identical to
-        // a direct ST-fast oracle; strict requests keep full Steiner.
-        let inputs = inputs_for(&kg, 2);
-        let steiner = BatchMethod::Steiner(SteinerConfig::default());
-        let st_fast = BatchMethod::SteinerFast(SteinerConfig::default());
-        let mut direct = SummaryEngine::with_threads(2);
-        let want_full = direct.summarize_batch(&kg.g, &inputs, steiner);
-        let want_fast = direct.summarize_batch(&kg.g, &inputs, st_fast);
-        let queue = AdmissionQueue::with_policy(
-            EngineBackend::new(kg.g.clone(), SummaryEngine::with_threads(2)),
-            AdmissionConfig { queue_bound: 256, max_batch: 8, linger_tickets: usize::MAX },
-            OverloadPolicy { shed_watermark: 0, degrade_watermark: 1 },
-        );
-        let opted_in: Vec<_> = inputs
-            .iter()
-            .map(|i| {
-                queue
-                    .submit_with(i.clone(), steiner, SubmitOptions {
-                        degrade: DegradePolicy::AllowStFast,
-                        ..Default::default()
-                    })
-                    .expect("admits")
-            })
-            .collect();
-        let strict: Vec<_> = inputs
-            .iter()
-            .map(|i| queue.submit(i.clone(), steiner).expect("admits"))
-            .collect();
-        queue.drain();
-        let mut degraded = 0u64;
-        for (i, t) in opted_in.into_iter().enumerate() {
-            let (outcome, meta) = t.wait_meta();
-            let got = outcome.expect("serves");
-            if meta.degraded {
-                degraded += 1;
-                assert_bit_identical(&want_fast[i], &got)?;
-            } else {
-                assert_bit_identical(&want_full[i], &got)?;
-            }
-        }
-        for (i, t) in strict.into_iter().enumerate() {
-            let (outcome, meta) = t.wait_meta();
-            prop_assert!(!meta.degraded, "strict requests never degrade");
-            assert_bit_identical(&want_full[i], &outcome.expect("serves"))?;
-        }
-        // The first opted-in submission saw an empty queue; the rest
-        // crossed the watermark.
-        prop_assert_eq!(degraded, inputs.len() as u64 - 1);
-        prop_assert_eq!(queue.stats().degraded, degraded);
-    }
-
-    #[test]
-    fn shed_tickets_fail_fast_and_survivors_serve(kg in arb_kg()) {
-        // Above the shed watermark the lowest-urgency (unranked,
-        // newest) work is dropped with `DeadlineExceeded`; ranked
-        // requests under the watermark serve bit-identically.
-        let inputs = inputs_for(&kg, 1);
-        let method = BatchMethod::SteinerFast(SteinerConfig::default());
-        let mut direct = SummaryEngine::with_threads(2);
-        let want = direct.summarize_batch(&kg.g, &inputs, method);
-        let queue = AdmissionQueue::with_policy(
-            EngineBackend::new(kg.g.clone(), SummaryEngine::with_threads(2)),
-            AdmissionConfig { queue_bound: 256, max_batch: 8, linger_tickets: usize::MAX },
-            OverloadPolicy { shed_watermark: inputs.len(), degrade_watermark: 0 },
-        );
-        let ranked: Vec<_> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, input)| {
-                queue
-                    .submit_with_deadline(input.clone(), method, i as u64 + 1)
-                    .expect("admits under the watermark")
-            })
-            .collect();
-        // Unranked overload traffic: each submission crosses the
-        // watermark and is itself the least-urgent entry.
-        let shed: Vec<_> = (0..3)
-            .map(|_| queue.submit(inputs[0].clone(), method).expect("admitted then shed"))
-            .collect();
-        for t in shed {
-            let (outcome, meta) = t.wait_meta();
-            prop_assert!(
-                matches!(outcome, Err(AdmissionError::DeadlineExceeded)),
-                "shed tickets resolve DeadlineExceeded"
-            );
-            prop_assert_eq!(meta.coalesced, 0, "shed work never reaches a batch");
-        }
-        queue.drain();
-        for (i, t) in ranked.into_iter().enumerate() {
-            assert_bit_identical(&want[i], &t.wait().expect("survivors serve"))?;
-        }
-        let stats = queue.stats();
-        prop_assert_eq!(stats.shed, 3);
-        prop_assert_eq!(stats.completed, inputs.len() as u64);
-        prop_assert_eq!(stats.failed, 0);
-    }
-
-    #[test]
-    fn expired_deadlines_resolve_without_worker_time(kg in arb_kg()) {
-        // A request whose wall-clock deadline already passed resolves
-        // `DeadlineExceeded` without dispatching a batch; the queue
-        // keeps serving ordinary traffic bit-identically.
-        let inputs = inputs_for(&kg, 1);
-        let method = BatchMethod::Steiner(SteinerConfig::default());
-        let queue = AdmissionQueue::for_engine(
-            kg.g.clone(),
-            SummaryEngine::with_threads(2),
-            AdmissionConfig { queue_bound: 64, max_batch: 8, linger_tickets: 1 },
-        );
-        let expired: Vec<_> = inputs
-            .iter()
-            .map(|i| {
-                queue
-                    .submit_with(i.clone(), method, SubmitOptions {
-                        expires_at: Some(
-                            std::time::Instant::now() - std::time::Duration::from_millis(1),
-                        ),
-                        ..Default::default()
-                    })
-                    .expect("admission itself succeeds")
-            })
-            .collect();
-        for t in expired {
-            let (outcome, meta) = t.wait_meta();
-            prop_assert!(matches!(outcome, Err(AdmissionError::DeadlineExceeded)));
-            prop_assert_eq!(meta.coalesced, 0);
-        }
-        let stats = queue.stats();
-        prop_assert_eq!(stats.expired, inputs.len() as u64);
-        prop_assert_eq!(stats.batches_dispatched, 0, "no worker time consumed");
-        let mut direct = SummaryEngine::with_threads(2);
-        let want = direct.summarize(&kg.g, &inputs[0], method);
-        let t = queue.submit(inputs[0].clone(), method).expect("still admits");
-        assert_bit_identical(&want, &t.wait().expect("serves"))?;
-    }
-
-    #[test]
-    fn zeroed_policy_is_bit_identical_to_default_queue(
-        kg in arb_kg(),
-        deadlines in proptest::collection::vec(0u64..50, 6..12),
-    ) {
-        // Shedding disabled (zero watermarks) must leave the PR-4
-        // deadline-urgency dispatch order untouched: same tickets, same
-        // batch ids, same coalescing, bit-identical results.
-        let method = BatchMethod::SteinerFast(SteinerConfig::default());
-        let input = inputs_for(&kg, 1)[0].clone();
-        let cfg = AdmissionConfig { queue_bound: 256, max_batch: 4, linger_tickets: usize::MAX };
-        let baseline = AdmissionQueue::for_engine(
-            kg.g.clone(),
-            SummaryEngine::with_threads(1),
-            cfg,
-        );
-        let zeroed = AdmissionQueue::with_policy(
-            EngineBackend::new(kg.g.clone(), SummaryEngine::with_threads(1)),
-            cfg,
-            OverloadPolicy { shed_watermark: 0, degrade_watermark: 0 },
-        );
-        let mut outcomes = Vec::new();
-        for queue in [&baseline, &zeroed] {
-            let tickets: Vec<_> = deadlines
-                .iter()
-                .map(|&d| {
-                    queue
-                        .submit_with_deadline(input.clone(), method, d)
-                        .expect("admits")
-                })
-                .collect();
-            queue.drain();
-            outcomes.push(
-                tickets
-                    .into_iter()
-                    .map(|t| t.wait_meta())
-                    .collect::<Vec<_>>(),
-            );
-        }
-        let zero_run = outcomes.pop().expect("zeroed run");
-        let base_run = outcomes.pop().expect("baseline run");
-        for ((base_out, base_meta), (zero_out, zero_meta)) in base_run.iter().zip(&zero_run) {
-            prop_assert_eq!(base_meta.batch, zero_meta.batch);
-            prop_assert_eq!(base_meta.coalesced, zero_meta.coalesced);
-            prop_assert_eq!(base_meta.degraded, zero_meta.degraded);
-            assert_bit_identical(
-                base_out.as_ref().expect("baseline serves"),
-                zero_out.as_ref().expect("zeroed serves"),
-            )?;
-        }
-        let (b, z) = (baseline.stats(), zeroed.stats());
-        prop_assert_eq!(b.batches_dispatched, z.batches_dispatched);
-        prop_assert_eq!(b.max_coalesced, z.max_coalesced);
-        prop_assert_eq!(z.shed, 0);
-        prop_assert_eq!(z.degraded, 0);
     }
 
     #[test]
@@ -558,8 +351,6 @@ proptest! {
         prop_assert_eq!(report.submitted + report.refused, cfg.requests as u64);
         prop_assert_eq!(report.served + report.failed, report.submitted);
         prop_assert_eq!(report.mutations + report.mutation_failures, planned_mutations as u64);
-        prop_assert_eq!(report.shed, 0);
-        prop_assert_eq!(report.expired, 0);
 
         // The queue's ledger agrees: nothing queued or in flight, and
         // completions plus failures cover every submission it saw.

@@ -17,8 +17,8 @@ use proptest::prelude::*;
 
 use xsum::core::{
     AdmissionConfig, AdmissionQueue, BatchMethod, CompletedTicket, EngineBackend, FaultInjector,
-    FaultPlan, OverloadPolicy, PcstConfig, ShardedEngine, SteinerConfig, Summary, SummaryEngine,
-    SummaryInput, TicketSet,
+    FaultPlan, PcstConfig, ShardedEngine, SteinerConfig, Summary, SummaryEngine, SummaryInput,
+    TicketSet,
 };
 use xsum::graph::{EdgeId, EdgeKind, Graph, LoosePath, NodeId, NodeKind};
 
@@ -306,7 +306,6 @@ proptest! {
             AdmissionQueue::with_faults(
                 backend,
                 CFG,
-                OverloadPolicy::default(),
                 Some(Arc::clone(&injector)),
             )
         } else {
@@ -315,7 +314,6 @@ proptest! {
             AdmissionQueue::with_faults(
                 EngineBackend::new(kg.g.clone(), engine),
                 CFG,
-                OverloadPolicy::default(),
                 Some(Arc::clone(&injector)),
             )
         };

@@ -20,7 +20,9 @@
 //!   frame with an error under its own id, and a client that drops the
 //!   response pipe ends the run with `WireError::Io` without wedging
 //!   the queue for the next stream; a writer that panics stops the
-//!   reader at its next request and the panic is re-raised.
+//!   reader at its next request and the panic is re-raised; a
+//!   `SetWeight` on an edge id the graph lacks is answered with an
+//!   error and leaves the graph and the queue serving.
 
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
@@ -442,6 +444,67 @@ fn corrupt_stream_still_answers_admitted_requests() {
     assert_eq!(want.method, got.method.as_str());
     assert_eq!(want.subgraph.sorted_edges(), got.edges);
     assert_eq!(want.subgraph.sorted_nodes(), got.nodes);
+}
+
+#[test]
+fn out_of_range_set_weight_is_refused_and_spares_the_queue() {
+    // A SetWeight naming an edge the graph lacks is answered `Err`
+    // under its own id. The barrier must not panic: that would poison
+    // the queue for every client of it.
+    let (g, inputs) = tiny_kg();
+    g.freeze();
+    let queue = tiny_queue(&g);
+    let mut stream = encode_frame(&WireFrame::MutationRequest(MutationRequest {
+        id: 1,
+        mutation: WireMutation::SetWeight {
+            edge: EdgeId(999_999),
+            weight: 1.0,
+        },
+    }));
+    stream.extend(encode_frame(&st_frame(2, &inputs[0])));
+    let mut responses = Vec::new();
+    let report = serve_stream(&stream[..], &mut responses, &queue).expect("clean EOF");
+    assert_eq!(report.responses, 2);
+
+    let mut rest = &responses[..];
+    let (mut refused, mut served) = (None, None);
+    while !rest.is_empty() {
+        let (frame, used) = decode_frame(rest).expect("valid response frame");
+        rest = &rest[used..];
+        match frame {
+            WireFrame::MutationResponse(r) => refused = Some(r),
+            WireFrame::SummaryResponse(r) => served = Some(r),
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    let refused = refused.expect("the mutation is answered");
+    assert_eq!(refused.id, 1);
+    assert!(refused.result.is_err(), "out-of-range edge is refused");
+    let served = served.expect("the later summary is answered");
+    assert_eq!(served.id, 2);
+    let method = BatchMethod::Steiner(SteinerConfig::default());
+    let want = SummaryEngine::with_threads(2).summarize(&g, &inputs[0], method);
+    let got = served.result.expect("the queue still serves");
+    assert_eq!(want.method, got.method.as_str());
+    assert_eq!(want.terminals, got.terminals);
+    assert_eq!(want.subgraph.sorted_edges(), got.edges);
+    assert_eq!(want.subgraph.sorted_nodes(), got.nodes);
+
+    // Not poisoned: the queue takes another barrier, and the graph it
+    // serves still has every original weight.
+    let (tx, rx) = mpsc::channel();
+    queue
+        .mutate(move |g| {
+            let bits: Vec<u64> = (0..g.edge_count())
+                .map(|e| g.weight(EdgeId(e as u32)).to_bits())
+                .collect();
+            let _ = tx.send(bits);
+        })
+        .expect("the queue is not poisoned");
+    let original: Vec<u64> = (0..g.edge_count())
+        .map(|e| g.weight(EdgeId(e as u32)).to_bits())
+        .collect();
+    assert_eq!(rx.recv().expect("the barrier ran"), original);
 }
 
 /// How long a test waits for a stream to answer before calling it
